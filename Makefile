@@ -88,11 +88,13 @@ bench-fleet-smoke:
 
 # Re-measure the fleet-server ingest and checkpoint numbers ledgered in
 # BENCH_serve.json. Like BENCH_fleet.json both phases measure the same
-# tree: "before" is one sample round trip over the HTTP/JSON fallback,
-# "after" the binary protocol — serial frame-per-sample, batched
-# (MsgIngestBatch at several batch sizes), pipelined (async in-flight
-# window), and multi-connection — plus the whole-fleet snapshot/restore
-# codec throughput behind Checkpoint/Restore.
+# tree: "before" is one sample round trip over the HTTP/JSON fallback (a
+# one-item POST /v1/ingest-batch), "after" the binary protocol —
+# MsgIngestBatch at several batch sizes (batch=1 is the synchronous
+# single-sample round trip, since a sample is a batch of one), pipelined
+# (async in-flight window of one-item frames), and multi-connection —
+# plus the whole-fleet snapshot/restore codec throughput behind
+# Checkpoint/Restore.
 # SERVE_MIN_SPEEDUP is the amortization floor the re-measurement enforces:
 # the largest batch row's per-sample throughput must be at least this
 # multiple of the batch=1 row's (measured ~20x on the reference 1-vCPU
@@ -103,10 +105,10 @@ bench-serve:
 	$(GO) test -run '^$$' -bench 'ServeIngestHTTP' -benchmem -benchtime 1s -count 3 ./internal/wire/ \
 		| $(GO) run ./cmd/awdbench -out BENCH_serve.json -phase before \
 			-title "fleet server: one ingest round trip on loopback, and whole-fleet checkpoint/restore (aircraft-pitch, adaptive)" \
-			-note "HTTP/JSON fallback: one POST /v1/ingest per sample"
+			-note "HTTP/JSON fallback: one one-item POST /v1/ingest-batch per sample"
 	$(GO) test -run '^$$' -bench 'ServeIngestWire|ServeIngestPipelined|FleetSnapshot|FleetRestore' -benchmem -benchtime 1s -count 3 ./internal/wire/ \
 		| $(GO) run ./cmd/awdbench -out BENCH_serve.json -phase after \
-			-note "binary protocol: serial, batched (MsgIngestBatch), pipelined, multi-connection (this PR)"
+			-note "binary protocol: MsgIngestBatch at batch=1..256, pipelined one-item frames, multi-connection"
 	$(GO) run ./cmd/awdbench -check-flat BENCH_serve.json -phase after \
 		-scale-key batch -base batch=1 -metric samples/sec -min-frac $(SERVE_MIN_SPEEDUP)
 

@@ -31,12 +31,12 @@ type BatchResult struct {
 // it came from multiplexes).
 type Batcher struct {
 	eng  *Engine
-	seen map[*Stream]struct{} // wave membership, reused across calls
+	seen map[*Stream]struct{} // wave membership, reused across calls; made on first use
 }
 
 // NewBatcher returns a batcher over this engine.
 func (e *Engine) NewBatcher() *Batcher {
-	return &Batcher{eng: e, seen: make(map[*Stream]struct{})}
+	return &Batcher{eng: e}
 }
 
 // Submit ingests every item and fills out (which must have the same
@@ -58,20 +58,8 @@ func (b *Batcher) Submit(items []BatchItem, out []BatchResult) error {
 	if len(out) != len(items) {
 		return fmt.Errorf("fleet: batch results length %d, want %d", len(out), len(items))
 	}
-	start := 0
-	for start < len(items) {
-		clear(b.seen)
-		end := start
-		for end < len(items) {
-			s := items[end].Stream
-			if s != nil {
-				if _, dup := b.seen[s]; dup {
-					break
-				}
-				b.seen[s] = struct{}{}
-			}
-			end++
-		}
+	for start := 0; start < len(items); {
+		end := b.waveEnd(items, start)
 		// Enqueue the wave: every stream's slot fills and its shard wakes
 		// before anything blocks on a decision.
 		for i := start; i < end; i++ {
@@ -102,4 +90,30 @@ func (b *Batcher) Submit(items []BatchItem, out []BatchResult) error {
 		start = end
 	}
 	return nil
+}
+
+// waveEnd returns the end of the wave that begins at items[start]: the
+// longest run in which no stream appears twice. A single remaining item
+// cannot repeat a stream, so a batch of one never touches the membership
+// map.
+func (b *Batcher) waveEnd(items []BatchItem, start int) int {
+	if len(items)-start == 1 {
+		return len(items)
+	}
+	if b.seen == nil {
+		b.seen = make(map[*Stream]struct{})
+	}
+	clear(b.seen)
+	end := start
+	for ; end < len(items); end++ {
+		s := items[end].Stream
+		if s == nil {
+			continue
+		}
+		if _, dup := b.seen[s]; dup {
+			break
+		}
+		b.seen[s] = struct{}{}
+	}
+	return end
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"testing"
@@ -10,110 +11,79 @@ import (
 	"repro/internal/state"
 )
 
-// TestReadFrameIntoAllocs pins the frame reader allocation-free once its
-// buffer has grown to the connection's largest frame — the fix for the
-// per-frame make([]byte, n) the serial server paid on every sample.
+// TestReadFrameIntoAllocs pins the frame codec allocation-free in both
+// directions: writeFrame appends the header into the writer's own buffer,
+// and readFrameInto reuses its buffer once it has grown to the
+// connection's largest frame — each side would otherwise pay a heap
+// allocation per frame.
 func TestReadFrameIntoAllocs(t *testing.T) {
-	var frame bytes.Buffer
-	if err := writeFrame(&frame, MsgIngest, bytes.Repeat([]byte{0xAB}, 64)); err != nil {
-		t.Fatalf("writeFrame: %v", err)
-	}
-	data := frame.Bytes()
-	r := bytes.NewReader(data)
+	payload := bytes.Repeat([]byte{0xAB}, 64)
+	var link bytes.Buffer
+	w := bufio.NewWriter(&link)
 	var buf []byte
-	if _, _, err := readFrameInto(r, &buf); err != nil { // grows buf once
-		t.Fatalf("warm-up read: %v", err)
-	}
-	avg := testing.AllocsPerRun(100, func() {
-		r.Reset(data)
-		typ, p, err := readFrameInto(r, &buf)
-		if err != nil || typ != MsgIngest || len(p) != 64 {
+	roundTrip := func() {
+		link.Reset()
+		if err := writeFrame(w, MsgIngestBatch, payload); err != nil {
+			t.Fatalf("writeFrame: %v", err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatalf("flush: %v", err)
+		}
+		typ, p, err := readFrameInto(&link, &buf)
+		if err != nil || typ != MsgIngestBatch || len(p) != 64 {
 			t.Fatalf("readFrameInto: typ=0x%02x len=%d err=%v", typ, len(p), err)
 		}
-	})
-	if avg > 0 {
-		t.Fatalf("readFrameInto allocates %.2f per frame, want 0", avg)
+	}
+	roundTrip() // grows the read buffer and the link buffer once
+	if avg := testing.AllocsPerRun(100, roundTrip); avg > 0 {
+		t.Fatalf("frame write+read allocates %.2f per frame, want 0", avg)
 	}
 }
 
-// silentIngestPayload encodes one in-ball (silent steady-state) MsgIngest
-// payload for the stream behind handle.
-func silentIngestPayload(m *models.Model, handle uint64) []byte {
-	gen := noise.NewBall(3, m.Sys.StateDim(), m.Eps)
-	enc := state.NewEncoder()
-	enc.U64(handle)
-	enc.F64s(gen.Sample(0))
-	enc.F64s(make([]float64, m.Sys.InputDim()))
-	return enc.Bytes()
-}
-
-// TestServerIngestSteadyStateAllocs pins the whole server-side single-
-// sample ingest path — frame decode, handle resolution, fleet submit,
-// decision encode — at 0 allocs/op once the connection scratch is warm.
-// This is the per-sample cost a saturated connection pays, so any
-// allocation here is a throughput regression at fleet scale.
-func TestServerIngestSteadyStateAllocs(t *testing.T) {
-	srv := NewServer(Config{Workers: 2})
-	defer srv.Close()
-	h, err := srv.Open("alloc", "s", "aircraft-pitch", "adaptive", 0)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	payload := silentIngestPayload(models.ByName("aircraft-pitch"), h)
-	cs := newConnState(srv.Engine())
-	for i := 0; i < 8; i++ { // warm the scratch buffers
-		if typ, _ := srv.handleReq(cs, MsgIngest, payload); typ != MsgDecision {
-			t.Fatalf("warm-up response type 0x%02x", typ)
-		}
-	}
-	avg := testing.AllocsPerRun(200, func() {
-		typ, _ := srv.handleReq(cs, MsgIngest, payload)
-		if typ != MsgDecision {
-			t.Fatalf("response type 0x%02x", typ)
-		}
-	})
-	if avg > 0 {
-		t.Fatalf("steady-state ingest allocates %.2f per sample, want 0", avg)
-	}
-}
-
-// TestServerBatchIngestSteadyStateAllocs pins the batched path the same
-// way: a warm MsgIngestBatch frame carrying one silent sample for each of
-// several streams must be served without a single allocation.
+// TestServerBatchIngestSteadyStateAllocs pins the whole server-side
+// ingest path — frame decode, handle resolution, fleet submit, decision
+// encode — at 0 allocs/op once the connection scratch is warm. n=1 is the
+// batch of one that every single-sample call sends, the per-sample cost a
+// saturated connection pays; n=8 carries one silent sample for each of
+// several streams. Any allocation here is a throughput regression at
+// fleet scale.
 func TestServerBatchIngestSteadyStateAllocs(t *testing.T) {
-	srv := NewServer(Config{Workers: 2})
-	defer srv.Close()
-	m := models.ByName("aircraft-pitch")
-	const n = 8
-	handles := make([]uint64, n)
-	ests := make([][]float64, n)
-	inputs := make([][]float64, n)
-	gen := noise.NewBall(5, m.Sys.StateDim(), m.Eps)
-	for i := 0; i < n; i++ {
-		h, err := srv.Open("alloc", fmt.Sprintf("s-%d", i), "aircraft-pitch", "adaptive", 0)
-		if err != nil {
-			t.Fatalf("Open(%d): %v", i, err)
-		}
-		handles[i] = h
-		ests[i] = gen.Sample(i)
-		inputs[i] = make([]float64, m.Sys.InputDim())
-	}
-	enc := state.NewEncoder()
-	appendIngestBatch(enc, handles, ests, inputs)
-	payload := enc.Bytes()
-	cs := newConnState(srv.Engine())
-	for i := 0; i < 8; i++ {
-		if typ, _ := srv.handleReq(cs, MsgIngestBatch, payload); typ != MsgDecisionBatch {
-			t.Fatalf("warm-up response type 0x%02x", typ)
-		}
-	}
-	avg := testing.AllocsPerRun(100, func() {
-		typ, _ := srv.handleReq(cs, MsgIngestBatch, payload)
-		if typ != MsgDecisionBatch {
-			t.Fatalf("response type 0x%02x", typ)
-		}
-	})
-	if avg > 0 {
-		t.Fatalf("steady-state batch ingest allocates %.2f per batch, want 0", avg)
+	for _, n := range []int{1, 8} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			srv := NewServer(Config{Workers: 2})
+			defer srv.Close()
+			m := models.ByName("aircraft-pitch")
+			handles := make([]uint64, n)
+			ests := make([][]float64, n)
+			inputs := make([][]float64, n)
+			gen := noise.NewBall(5, m.Sys.StateDim(), m.Eps)
+			for i := 0; i < n; i++ {
+				h, err := srv.Open("alloc", fmt.Sprintf("s-%d", i), "aircraft-pitch", "adaptive", 0)
+				if err != nil {
+					t.Fatalf("Open(%d): %v", i, err)
+				}
+				handles[i] = h
+				ests[i] = gen.Sample(i)
+				inputs[i] = make([]float64, m.Sys.InputDim())
+			}
+			enc := state.NewEncoder()
+			appendIngestBatch(enc, handles, ests, inputs)
+			payload := enc.Bytes()
+			cs := newConnState(srv.Engine())
+			for i := 0; i < 8; i++ { // warm the scratch buffers
+				if typ, _ := srv.handleReq(cs, MsgIngestBatch, payload); typ != MsgDecisionBatch {
+					t.Fatalf("warm-up response type 0x%02x", typ)
+				}
+			}
+			avg := testing.AllocsPerRun(100, func() {
+				typ, _ := srv.handleReq(cs, MsgIngestBatch, payload)
+				if typ != MsgDecisionBatch {
+					t.Fatalf("response type 0x%02x", typ)
+				}
+			})
+			if avg > 0 {
+				t.Fatalf("steady-state batch ingest allocates %.2f per batch, want 0", avg)
+			}
+		})
 	}
 }

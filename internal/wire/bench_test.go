@@ -23,39 +23,10 @@ func benchSample(m *models.Model) (est, u []float64) {
 	return gen.Sample(0), make([]float64, m.Sys.InputDim())
 }
 
-// BenchmarkServeIngestWire measures one sample round trip over the binary
-// protocol on loopback: frame encode, TCP, fleet Submit, decision frame
-// back. This is the "after" column of BENCH_serve.json.
-func BenchmarkServeIngestWire(b *testing.B) {
-	srv := NewServer(Config{Workers: 2})
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		b.Fatalf("Start: %v", err)
-	}
-	defer srv.Close()
-	c, err := Dial(addr)
-	if err != nil {
-		b.Fatalf("Dial: %v", err)
-	}
-	defer c.Close()
-	h, err := c.Open("bench", "s", "aircraft-pitch", "adaptive", 0)
-	if err != nil {
-		b.Fatalf("Open: %v", err)
-	}
-	est, u := benchSample(models.ByName("aircraft-pitch"))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Ingest(h, est, u); err != nil {
-			b.Fatalf("Ingest: %v", err)
-		}
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "samples/sec")
-}
-
-// BenchmarkServeIngestHTTP measures the same round trip over the JSON
-// fallback — the "before" column of BENCH_serve.json. The gap to the
-// binary protocol is the price of accessibility.
+// BenchmarkServeIngestHTTP measures one sample round trip over the JSON
+// fallback, a one-item POST /v1/ingest-batch — the "before" column of
+// BENCH_serve.json. The gap to the binary batch=1 row is the price of
+// accessibility.
 func BenchmarkServeIngestHTTP(b *testing.B) {
 	srv := NewServer(Config{Workers: 2})
 	if _, err := srv.Start("127.0.0.1:0"); err != nil {
@@ -71,12 +42,12 @@ func BenchmarkServeIngestHTTP(b *testing.B) {
 		b.Fatalf("Open: %v", err)
 	}
 	est, u := benchSample(models.ByName("aircraft-pitch"))
-	url := "http://" + httpAddr + "/v1/ingest"
+	url := "http://" + httpAddr + "/v1/ingest-batch"
 	client := &http.Client{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		body, err := json.Marshal(ingestRequest{Handle: h, Estimate: est, Input: u})
+		body, err := json.Marshal(ingestBatchRequest{Items: []ingestRequest{{Handle: h, Estimate: est, Input: u}}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -84,13 +55,15 @@ func BenchmarkServeIngestHTTP(b *testing.B) {
 		if err != nil {
 			b.Fatalf("POST: %v", err)
 		}
-		var d decisionJSON
-		if err := json.NewDecoder(resp.Body).Decode(&d); err != nil {
+		var out struct {
+			Items []ingestBatchItemJSON `json:"items"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 			b.Fatalf("decode: %v", err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			b.Fatalf("status %s", resp.Status)
+		if resp.StatusCode != http.StatusOK || len(out.Items) != 1 || out.Items[0].Decision == nil {
+			b.Fatalf("status %s, items %+v", resp.Status, out.Items)
 		}
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "samples/sec")
@@ -131,6 +104,8 @@ func benchBatchServer(b *testing.B, n int) (*Client, []uint64, [][]float64, [][]
 // batch streams. ns/op is per batch; the samples/sec metric is the
 // per-sample throughput `make bench-serve` gates against the batch=1 row
 // (the framing-amortization win is the whole point of the batch frames).
+// batch=1 is also the synchronous single-sample round trip, since
+// Client.Ingest sends a batch of one.
 func BenchmarkServeIngestWireBatch(b *testing.B) {
 	for _, n := range []int{1, 16, 64, 256} {
 		b.Run(fmt.Sprintf("batch=%d", n), func(b *testing.B) {
@@ -154,8 +129,8 @@ func BenchmarkServeIngestWireBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkServeIngestPipelined measures the async single-frame path: one
-// sample per MsgIngest frame, but with an in-flight window instead of a
+// BenchmarkServeIngestPipelined measures the async single-sample path: one
+// sample per one-item batch frame, but with an in-flight window instead of a
 // blocking round trip per sample, round-robin over 8 streams. Together
 // with the batch rows this separates the two amortizations: pipelining
 // removes the round-trip stalls, batching additionally removes per-frame
@@ -198,9 +173,10 @@ func BenchmarkServeIngestPipelined(b *testing.B) {
 	}
 }
 
-// BenchmarkServeIngestWireConns measures synchronous single-frame ingest
-// across parallel connections, each with its own stream — the multi-tenant
-// shape where per-connection round trips overlap.
+// BenchmarkServeIngestWireConns measures synchronous single-sample ingest
+// (Client.Ingest, a batch of one) across parallel connections, each with
+// its own stream — the multi-tenant shape where per-connection round
+// trips overlap.
 func BenchmarkServeIngestWireConns(b *testing.B) {
 	for _, nc := range []int{1, 4} {
 		b.Run(fmt.Sprintf("conns=%d", nc), func(b *testing.B) {

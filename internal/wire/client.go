@@ -21,11 +21,6 @@ type Client struct {
 	enc  *state.Encoder // reused per request to keep ingest allocation-light
 	dec  state.Decoder  // reused per response
 	rbuf []byte         // reused response frame buffer
-
-	// serverVersion is the protocol version the server announced in its
-	// hello response; a pre-batch server reports 1 and IngestBatch/Pipeline
-	// must not be used against it.
-	serverVersion uint16
 }
 
 // Dial connects to a wire server and performs the hello handshake.
@@ -42,29 +37,14 @@ func Dial(addr string) (*Client, error) {
 	}
 	c.enc.U16(ProtocolVersion)
 	c.enc.String("wire-client")
-	_, dec, err := c.roundTrip(MsgHello)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	_ = dec.String() // server name: diagnostic only
-	c.serverVersion = 1
-	if dec.Remaining() >= 2 {
-		// Version 2+ servers append their protocol version; a version 1
-		// server's hello response ends after the name.
-		c.serverVersion = dec.U16()
-	}
-	if err := dec.Err(); err != nil {
+	// A server that accepts the hello speaks this version; the response's
+	// server name and version are diagnostic only.
+	if _, _, err := c.roundTrip(MsgHello); err != nil {
 		conn.Close()
 		return nil, err
 	}
 	return c, nil
 }
-
-// ServerVersion reports the protocol version the server announced during
-// the hello handshake (1 for servers that predate version negotiation in
-// the response).
-func (c *Client) ServerVersion() uint16 { return c.serverVersion }
 
 // roundTrip sends the staged request payload and reads one response,
 // translating MsgError into a Go error. The returned decoder reads the
@@ -94,6 +74,14 @@ func (c *Client) roundTrip(typ byte) (byte, *state.Decoder, error) {
 // reset stages a fresh request payload.
 func (c *Client) reset() { c.enc.Reset() }
 
+// stageOne stages a one-item MsgIngestBatch payload in the client's
+// encoder: the single-sample calls send a batch of one.
+func (c *Client) stageOne(handle uint64, estimate, appliedU []float64) {
+	c.reset()
+	c.enc.U32(1)
+	appendIngestItem(c.enc, handle, estimate, appliedU)
+}
+
 // Open registers (or re-attaches to, after a server restore) the stream
 // tenant/stream and returns its ingest handle.
 func (c *Client) Open(tenant, stream, model, strategy string, fixedWin int) (uint64, error) {
@@ -114,20 +102,15 @@ func (c *Client) Open(tenant, stream, model, strategy string, fixedWin int) (uin
 	return h, dec.Err()
 }
 
-// Ingest feeds one sample and returns the stream's decision.
+// Ingest feeds one sample, as a batch of one, and returns the stream's
+// decision; the sample's per-item error is returned as the error.
 func (c *Client) Ingest(handle uint64, estimate, appliedU []float64) (core.Decision, error) {
-	c.reset()
-	c.enc.U64(handle)
-	c.enc.F64s(estimate)
-	c.enc.F64s(appliedU)
-	rtyp, dec, err := c.roundTrip(MsgIngest)
-	if err != nil {
+	c.stageOne(handle, estimate, appliedU)
+	var out [1]IngestResult
+	if err := c.ingestBatch(out[:]); err != nil {
 		return core.Decision{}, err
 	}
-	if rtyp != MsgDecision {
-		return core.Decision{}, fmt.Errorf("wire: ingest got response type 0x%02x", rtyp)
-	}
-	return decodeDecision(dec)
+	return out[0].Decision, out[0].Err
 }
 
 // IngestResult is one sample's outcome from a batched or pipelined
@@ -142,18 +125,20 @@ type IngestResult struct {
 // round trip and the server's framing work across the whole batch. The
 // four slices must have equal length. Per-sample failures (unknown handle,
 // dimension mismatch) land in out[i].Err; the returned error is reserved
-// for transport and whole-batch protocol failures. Requires a version 2
-// server (see ServerVersion).
+// for transport and whole-batch protocol failures.
 func (c *Client) IngestBatch(handles []uint64, estimates, inputs [][]float64, out []IngestResult) error {
 	if len(estimates) != len(handles) || len(inputs) != len(handles) || len(out) != len(handles) {
 		return fmt.Errorf("wire: batch slice lengths %d/%d/%d/%d differ",
 			len(handles), len(estimates), len(inputs), len(out))
 	}
-	if c.serverVersion < 2 {
-		return fmt.Errorf("wire: server speaks protocol %d, batch ingest needs 2", c.serverVersion)
-	}
 	c.reset()
 	appendIngestBatch(c.enc, handles, estimates, inputs)
+	return c.ingestBatch(out)
+}
+
+// ingestBatch round-trips the staged MsgIngestBatch payload and decodes
+// its len(out) per-sample results.
+func (c *Client) ingestBatch(out []IngestResult) error {
 	rtyp, dec, err := c.roundTrip(MsgIngestBatch)
 	if err != nil {
 		return err

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -14,46 +15,36 @@ import (
 // FuzzFrameRoundTrip drives the frame codec with arbitrary byte streams.
 // The invariants under test:
 //
-//   - readFrame never panics and never over-reads: on success it has
+//   - readFrameInto never panics and never over-reads: on success it has
 //     consumed exactly 5+len(payload) bytes, leaving the rest of the
 //     stream intact for the next frame.
 //   - A length prefix beyond MaxFrame is rejected before any allocation.
 //   - Truncated input errors cleanly (io.ErrUnexpectedEOF family), never
 //     blocks or fabricates a frame.
-//   - Whatever readFrame accepts, writeFrame reproduces byte-for-byte —
-//     the codec is its own inverse on the valid subset.
-//   - A frame tagged MsgDecision feeds decodeDecision without panicking,
-//     whatever its payload (the claimed-dims bound must hold).
+//   - Whatever readFrameInto accepts, writeFrame reproduces byte-for-byte
+//     — the codec is its own inverse on the valid subset.
 //   - A frame tagged MsgIngestBatch feeds ingestBatch.decode without
 //     panicking; anything it accepts re-encodes byte-identically through
 //     appendIngestBatch (exact consumption makes the batch codec its own
 //     inverse).
 //   - A frame tagged MsgDecisionBatch feeds decodeDecisionBatch without
-//     panicking, whatever its claimed count.
+//     panicking, whatever its claimed count, and never decodes more dims
+//     than the payload has bytes for.
 func FuzzFrameRoundTrip(f *testing.F) {
-	// Seed with a valid OK frame, a decision frame, a truncated header, an
+	// Seed with a valid OK frame, a batch of one and its decision, a
+	// two-sample batch and its decisions, a truncated header, an
 	// oversized length prefix, and a length/payload mismatch.
-	var ok bytes.Buffer
-	if err := writeFrame(&ok, MsgOK, []byte("ready")); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(ok.Bytes())
+	f.Add(frameBytes(f, MsgOK, []byte("ready")))
 
 	enc := state.NewEncoder()
-	enc.I64(7)      // step
-	enc.Int(12)     // window
-	enc.Int(3)      // deadline
-	enc.Bool(true)  // alarm
-	enc.Bool(false) // complementary
-	enc.I64(-1)     // complementary step
-	enc.U32(2)      // dims
-	enc.Int(0)
-	enc.Int(4)
-	var decFrame bytes.Buffer
-	if err := writeFrame(&decFrame, MsgDecision, enc.Bytes()); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(decFrame.Bytes())
+	enc.U32(1)
+	appendIngestItem(enc, 7, []float64{0.25}, []float64{-1})
+	f.Add(frameBytes(f, MsgIngestBatch, enc.Bytes()))
+
+	enc.Reset()
+	enc.U32(1)
+	appendBatchDecision(enc, core.Decision{Step: 7, Window: 12, Deadline: 3, Alarm: true, ComplementaryStep: -1, Dims: []int{0, 4}}, nil)
+	f.Add(frameBytes(f, MsgDecisionBatch, enc.Bytes()))
 
 	// A two-sample ingest batch and its decision batch.
 	enc.Reset()
@@ -61,21 +52,13 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		[]uint64{1, 2},
 		[][]float64{{0.5, -1.25}, {3}},
 		[][]float64{{0}, {}})
-	var batchFrame bytes.Buffer
-	if err := writeFrame(&batchFrame, MsgIngestBatch, enc.Bytes()); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(batchFrame.Bytes())
+	f.Add(frameBytes(f, MsgIngestBatch, enc.Bytes()))
 
 	enc.Reset()
 	enc.U32(2)
 	appendBatchDecision(enc, core.Decision{Step: 3, Window: 9, Deadline: 2, Dims: []int{1}}, nil)
 	appendBatchDecision(enc, core.Decision{}, errors.New("fleet: unknown stream"))
-	var decBatchFrame bytes.Buffer
-	if err := writeFrame(&decBatchFrame, MsgDecisionBatch, enc.Bytes()); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(decBatchFrame.Bytes())
+	f.Add(frameBytes(f, MsgDecisionBatch, enc.Bytes()))
 
 	f.Add([]byte{3, 0, 0}) // truncated header
 	var huge [5]byte
@@ -85,11 +68,12 @@ func FuzzFrameRoundTrip(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
-		typ, payload, err := readFrame(r)
+		var buf []byte
+		typ, payload, err := readFrameInto(r, &buf)
 		if err != nil {
 			// Rejected input: the error must have surfaced without a frame.
 			if payload != nil {
-				t.Fatalf("readFrame returned payload alongside error %v", err)
+				t.Fatalf("readFrameInto returned payload alongside error %v", err)
 			}
 			return
 		}
@@ -97,29 +81,16 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		// one payload was taken from the stream.
 		consumed := len(data) - r.Len()
 		if want := 5 + len(payload); consumed != want {
-			t.Fatalf("readFrame consumed %d bytes, want %d", consumed, want)
+			t.Fatalf("readFrameInto consumed %d bytes, want %d", consumed, want)
 		}
 		if len(payload) > MaxFrame {
-			t.Fatalf("readFrame accepted %d-byte payload beyond MaxFrame", len(payload))
+			t.Fatalf("readFrameInto accepted %d-byte payload beyond MaxFrame", len(payload))
 		}
 
 		// Round trip: re-encoding the accepted frame reproduces the input
 		// prefix bit-for-bit.
-		var out bytes.Buffer
-		if err := writeFrame(&out, typ, payload); err != nil {
-			t.Fatalf("writeFrame rejected a frame readFrame accepted: %v", err)
-		}
-		if !bytes.Equal(out.Bytes(), data[:consumed]) {
-			t.Fatalf("round trip mismatch:\n read %x\nwrote %x", data[:consumed], out.Bytes())
-		}
-
-		// Decision payloads must decode or error — never panic, never claim
-		// dims beyond the payload.
-		if typ == MsgDecision {
-			d, err := decodeDecision(state.NewDecoder(payload))
-			if err == nil && len(d.Dims) > len(payload)/8 {
-				t.Fatalf("decoded %d dims from %d payload bytes", len(d.Dims), len(payload))
-			}
+		if out := frameBytes(t, typ, payload); !bytes.Equal(out, data[:consumed]) {
+			t.Fatalf("round trip mismatch:\n read %x\nwrote %x", data[:consumed], out)
 		}
 
 		// Batch ingest payloads must decode or error — never panic — and
@@ -138,30 +109,53 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		}
 
 		// Decision batch payloads must decode or error for whatever count
-		// they claim — never panic, never decode more results than fit.
+		// they claim — never panic, never decode more results than fit, and
+		// never claim dims beyond the payload.
 		if typ == MsgDecisionBatch && len(payload) >= 4 {
 			n := binary.LittleEndian.Uint32(payload[:4])
 			// Each result is at least 1 status byte; larger claims must be
 			// rejected by the decoder itself when results run out of bytes.
 			if int64(n) <= int64(len(payload)) {
 				out := make([]IngestResult, n)
-				_ = decodeDecisionBatch(state.NewDecoder(payload), out)
+				if err := decodeDecisionBatch(state.NewDecoder(payload), out); err == nil {
+					dims := 0
+					for _, res := range out {
+						dims += len(res.Decision.Dims)
+					}
+					if dims > len(payload)/8 {
+						t.Fatalf("decoded %d dims from %d payload bytes", dims, len(payload))
+					}
+				}
 			}
 		}
 
 		// A second frame may follow; it must obey the same contract.
 		rest := len(data) - consumed
-		if _, p2, err := readFrame(r); err == nil {
+		if _, p2, err := readFrameInto(r, &buf); err == nil {
 			if consumed2 := rest - r.Len(); consumed2 != 5+len(p2) {
-				t.Fatalf("second readFrame consumed %d bytes, want %d", consumed2, 5+len(p2))
+				t.Fatalf("second readFrameInto consumed %d bytes, want %d", consumed2, 5+len(p2))
 			}
 		} else if err != io.EOF && err != io.ErrUnexpectedEOF && rest >= 5 {
 			// Non-EOF failures with a full header present must be the
 			// MaxFrame guard, which precedes allocation.
 			n := binary.LittleEndian.Uint32(data[consumed : consumed+4])
 			if n <= MaxFrame {
-				t.Fatalf("second readFrame failed on in-bound frame: %v", err)
+				t.Fatalf("second readFrameInto failed on in-bound frame: %v", err)
 			}
 		}
 	})
+}
+
+// frameBytes returns one frame as writeFrame puts it on the wire.
+func frameBytes(tb testing.TB, typ byte, payload []byte) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	w := bufio.NewWriter(&buf)
+	if err := writeFrame(w, typ, payload); err != nil {
+		tb.Fatalf("writeFrame: %v", err)
+	}
+	if err := w.Flush(); err != nil {
+		tb.Fatalf("flush: %v", err)
+	}
+	return buf.Bytes()
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -31,7 +32,7 @@ type openRequest struct {
 	FixedWin int    `json:"fixed_win,omitempty"`
 }
 
-// ingestRequest is the POST /v1/ingest body.
+// ingestRequest is one sample of a POST /v1/ingest-batch body.
 type ingestRequest struct {
 	Handle   uint64    `json:"handle"`
 	Estimate []float64 `json:"estimate"`
@@ -83,8 +84,7 @@ func (s *Server) StartHTTP(addr string) (string, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/open", func(w http.ResponseWriter, r *http.Request) {
 		var req openRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, err)
+		if !decodeBody(w, r, &req, false) {
 			return
 		}
 		h, err := s.Open(req.Tenant, req.Stream, req.Model, req.Strategy, req.FixedWin)
@@ -94,23 +94,9 @@ func (s *Server) StartHTTP(addr string) (string, error) {
 		}
 		httpJSON(w, map[string]uint64{"handle": h})
 	})
-	mux.HandleFunc("POST /v1/ingest", func(w http.ResponseWriter, r *http.Request) {
-		var req ingestRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		d, err := s.Ingest(req.Handle, req.Estimate, req.Input)
-		if err != nil {
-			httpError(w, http.StatusConflict, err)
-			return
-		}
-		httpJSON(w, toDecisionJSON(d))
-	})
 	mux.HandleFunc("POST /v1/ingest-batch", func(w http.ResponseWriter, r *http.Request) {
 		var req ingestBatchRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, err)
+		if !decodeBody(w, r, &req, false) {
 			return
 		}
 		n := len(req.Items)
@@ -140,8 +126,7 @@ func (s *Server) StartHTTP(addr string) (string, error) {
 		var req struct {
 			Name string `json:"name"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil && r.ContentLength > 0 {
-			httpError(w, http.StatusBadRequest, err)
+		if !decodeBody(w, r, &req, true) {
 			return
 		}
 		path, n, err := s.Checkpoint(req.Name)
@@ -159,8 +144,7 @@ func (s *Server) StartHTTP(addr string) (string, error) {
 		var req struct {
 			Name string `json:"name"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil && r.ContentLength > 0 {
-			httpError(w, http.StatusBadRequest, err)
+		if !decodeBody(w, r, &req, true) {
 			return
 		}
 		n, err := s.Restore(req.Name)
@@ -185,6 +169,29 @@ func (s *Server) StartHTTP(addr string) (string, error) {
 func (h *httpServer) close() {
 	_ = h.srv.Close()
 	_ = h.ln.Close()
+}
+
+// decodeBody decodes r's JSON body into v and reports whether the handler
+// should go on; on failure it has already answered. The body is read
+// through a MaxFrame limit, the binary protocol's frame bound, so a
+// hostile client cannot make the server allocate without bound: a longer
+// body is answered 413. optional accepts a missing body (the RPCs whose
+// only field defaults).
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, optional bool) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxFrame)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		httpError(w, http.StatusRequestEntityTooLarge, err)
+		return false
+	case optional && r.ContentLength <= 0:
+		return true
+	default:
+		httpError(w, http.StatusBadRequest, err)
+		return false
+	}
 }
 
 func httpJSON(w http.ResponseWriter, v any) {

@@ -10,13 +10,13 @@ import (
 )
 
 // Pipeline is the client's asynchronous ingest mode: Ingest stages a
-// sample and returns without waiting for its decision, keeping up to
-// window samples in flight on the connection; a reader goroutine delivers
-// every decision strictly in submission order through the deliver
-// callback. The server handles frames in arrival order and answers in
-// that same order (see the package doc), so ordered delivery needs no
-// sequence numbers — the k-th response on the wire is the k-th staged
-// sample's decision.
+// sample, as a one-item MsgIngestBatch frame, and returns without waiting
+// for its decision, keeping up to window samples in flight on the
+// connection; a reader goroutine delivers every decision strictly in
+// submission order through the deliver callback. The server handles
+// frames in arrival order and answers in that same order (see the package
+// doc), so ordered delivery needs no sequence numbers — the k-th response
+// on the wire is the k-th staged sample's decision.
 //
 // While a Pipeline is open it owns the connection: the synchronous Client
 // methods must not be called until Close returns. A Pipeline is not safe
@@ -39,11 +39,8 @@ type Pipeline struct {
 // given in-flight window (<= 0 uses DefaultMaxInflight; windows beyond
 // the server's -max-inflight just move the blocking to the transport).
 // deliver receives every sample's decision in submission order, on the
-// reader goroutine. Requires a version 2 server.
+// reader goroutine. Pipeline cannot fail; its error result is always nil.
 func (c *Client) Pipeline(window int, deliver func(handle uint64, d core.Decision, err error)) (*Pipeline, error) {
-	if c.serverVersion < 2 {
-		return nil, fmt.Errorf("wire: server speaks protocol %d, pipelining needs 2", c.serverVersion)
-	}
 	if window <= 0 {
 		window = DefaultMaxInflight
 	}
@@ -76,11 +73,8 @@ func (p *Pipeline) Ingest(handle uint64, estimate, appliedU []float64) error {
 		p.sem <- struct{}{}
 	}
 	c := p.c
-	c.reset()
-	c.enc.U64(handle)
-	c.enc.F64s(estimate)
-	c.enc.F64s(appliedU)
-	if err := writeFrame(c.bw, MsgIngest, c.enc.Bytes()); err != nil {
+	c.stageOne(handle, estimate, appliedU)
+	if err := writeFrame(c.bw, MsgIngestBatch, c.enc.Bytes()); err != nil {
 		p.fail(err)
 		<-p.sem // the sample never became pending; return its token
 		return err
@@ -139,40 +133,41 @@ func (p *Pipeline) fail(err error) {
 
 // readLoop delivers one response per pending sample, in order. Transport
 // failures are sticky: the remaining pending samples drain with the error
-// so no Ingest or Flush is left waiting on a window token. A MsgError
-// response is a per-sample failure (the framing is intact), so it does
-// not poison the connection.
+// so no Ingest or Flush is left waiting on a window token. A per-item
+// error or a MsgError response fails only its own sample (the framing is
+// intact), so neither poisons the connection.
 func (p *Pipeline) readLoop() {
 	defer close(p.done)
 	var rbuf []byte
 	var dec state.Decoder
 	for h := range p.pending {
-		var res IngestResult
+		var res [1]IngestResult
 		if err := p.Err(); err != nil {
-			res.Err = err
+			res[0].Err = err
 		} else {
 			rtyp, payload, err := readFrameInto(p.c.br, &rbuf)
+			dec.Reset(payload)
 			switch {
 			case err != nil:
 				p.fail(err)
-				res.Err = err
+				res[0].Err = err
 			case rtyp == MsgError:
-				dec.Reset(payload)
 				msg := dec.String()
 				if dec.Err() != nil {
 					msg = "malformed error response"
 				}
-				res.Err = errors.New(msg)
-			case rtyp != MsgDecision:
+				res[0].Err = errors.New(msg)
+			case rtyp != MsgDecisionBatch:
 				err := fmt.Errorf("wire: pipelined ingest got response type 0x%02x", rtyp)
 				p.fail(err)
-				res.Err = err
+				res[0].Err = err
 			default:
-				dec.Reset(payload)
-				res.Decision, res.Err = decodeDecision(&dec)
+				if err := decodeDecisionBatch(&dec, res[:]); err != nil {
+					res[0] = IngestResult{Err: err}
+				}
 			}
 		}
-		p.deliver(h, res.Decision, res.Err)
+		p.deliver(h, res[0].Decision, res[0].Err)
 		<-p.sem
 	}
 }

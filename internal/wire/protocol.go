@@ -16,27 +16,38 @@
 // little-endian integers, IEEE-754 bit patterns, length-prefixed strings)
 // without the snapshot container header — framing already delimits
 // messages. Each request frame gets exactly one response frame: MsgOpened
-// for MsgOpen, MsgDecision for MsgIngest, MsgDecisionBatch for
-// MsgIngestBatch, MsgOK for the rest, MsgError for any failure. The
-// per-request payloads are documented on the Client methods, which are the
-// reference implementation.
+// for MsgOpen, MsgDecisionBatch for MsgIngestBatch, MsgOK for the rest,
+// MsgError for any failure. The per-request payloads are documented on
+// the Client methods, which are the reference implementation.
+//
+// # One ingest encoding
+//
+// Samples travel only in MsgIngestBatch frames, answered by one
+// MsgDecisionBatch carrying a decision or an error per item. A single
+// sample is a batch of one: Client.Ingest and Pipeline.Ingest send a
+// one-item batch, and the HTTP fallback's only ingest route is
+// POST /v1/ingest-batch. There is one codec, one server path, and one
+// fuzz surface. The Hello handshake carries ProtocolVersion, and the
+// server refuses every other version, so a client of another version is
+// turned away before it can send a frame type this version lacks.
 //
 // # Pipelining
 //
 // Responses are delivered strictly in request order, and a client may have
 // many requests in flight on one connection: the server decouples frame
 // reading from response writing, so a pipelined client pays the network
-// round trip once per window rather than once per sample. MsgIngestBatch
+// round trip once per window rather than once per sample. Batching
 // carries many samples in one frame for the same amortization at the
-// framing layer. Protocol version 2 adds the batch frames; everything a
-// version 1 client sends means exactly what it meant before.
+// framing layer.
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/state"
@@ -48,21 +59,19 @@ import (
 // balloon server memory.
 const MaxFrame = 1 << 20
 
-// ProtocolVersion is negotiated by MsgHello; the server rejects clients
-// that speak a newer major version. Version 2 adds the batched ingest
-// frames (MsgIngestBatch/MsgDecisionBatch); a version 1 client never sends
-// them and is served exactly as before.
-const ProtocolVersion uint16 = 2
+// ProtocolVersion is exchanged by MsgHello; the server refuses a client
+// announcing any other version, so a client that may send frame types
+// this version lacks is turned away at the handshake, not mid-stream.
+const ProtocolVersion uint16 = 3
 
 // Request message types.
 const (
 	MsgHello       = 0x01 // u16 version, string client name
 	MsgOpen        = 0x02 // string tenant, stream, model, strategy; i64 fixedWin
-	MsgIngest      = 0x03 // u64 handle, f64s estimate, f64s input
 	MsgCheckpoint  = 0x04 // string name (optional; "" = server picks)
 	MsgDrain       = 0x05 // empty
 	MsgRestore     = 0x06 // string path
-	MsgIngestBatch = 0x07 // u32 count, then per sample: u64 handle, f64s estimate, f64s input (v2)
+	MsgIngestBatch = 0x07 // u32 count, then per sample: u64 handle, f64s estimate, f64s input
 )
 
 // Response message types.
@@ -70,31 +79,23 @@ const (
 	MsgOK            = 0x80 // string detail (may be empty)
 	MsgError         = 0x81 // string message
 	MsgOpened        = 0x82 // u64 handle
-	MsgDecision      = 0x83 // encoded Decision, see appendDecision
-	MsgDecisionBatch = 0x84 // u32 count, then per sample: u8 status, decision (0) or string error (1) (v2)
+	MsgDecisionBatch = 0x84 // u32 count, then per sample: u8 status, decision (0) or string error (1)
 )
 
-// writeFrame sends one frame. The payload must fit MaxFrame.
-func writeFrame(w io.Writer, typ byte, payload []byte) error {
+// writeFrame stages one frame in w. The payload must fit MaxFrame. The
+// header is appended into w's free buffer space: a header array passed to
+// Write escapes through the underlying io.Writer and would cost one
+// allocation per frame.
+func writeFrame(w *bufio.Writer, typ byte, payload []byte) error {
 	if len(payload) > MaxFrame {
 		return fmt.Errorf("wire: frame payload %d exceeds %d", len(payload), MaxFrame)
 	}
-	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	hdr[4] = typ
-	if _, err := w.Write(hdr[:]); err != nil {
+	hdr := binary.LittleEndian.AppendUint32(w.AvailableBuffer(), uint32(len(payload)))
+	if _, err := w.Write(append(hdr, typ)); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)
 	return err
-}
-
-// readFrame receives one frame, enforcing the MaxFrame bound before
-// allocating. The steady-state paths use readFrameInto instead; readFrame
-// remains for one-shot callers that want an owned payload.
-func readFrame(r io.Reader) (typ byte, payload []byte, err error) {
-	var buf []byte
-	return readFrameInto(r, &buf)
 }
 
 // readFrameInto receives one frame into *buf, growing it only when a frame
@@ -127,7 +128,7 @@ func readFrameInto(r io.Reader, buf *[]byte) (typ byte, payload []byte, err erro
 	return typ, payload, nil
 }
 
-// appendDecision encodes a core.Decision as a MsgDecision payload.
+// appendDecision encodes a core.Decision, the body of a batchOK item.
 func appendDecision(enc *state.Encoder, d core.Decision) {
 	enc.I64(int64(d.Step))
 	enc.Int(d.Window)
@@ -153,10 +154,15 @@ const (
 func appendIngestBatch(enc *state.Encoder, handles []uint64, estimates, inputs [][]float64) {
 	enc.U32(uint32(len(handles)))
 	for i, h := range handles {
-		enc.U64(h)
-		enc.F64s(estimates[i])
-		enc.F64s(inputs[i])
+		appendIngestItem(enc, h, estimates[i], inputs[i])
 	}
+}
+
+// appendIngestItem encodes one sample of a MsgIngestBatch payload.
+func appendIngestItem(enc *state.Encoder, handle uint64, estimate, input []float64) {
+	enc.U64(handle)
+	enc.F64s(estimate)
+	enc.F64s(input)
 }
 
 // ingestBatch is the decoded form of a MsgIngestBatch payload. Its slices
@@ -176,9 +182,10 @@ const minBatchSampleBytes = 8 + 4 + 4
 // decode parses payload into the batch, replacing its previous contents.
 // The payload must be consumed exactly — trailing bytes are a protocol
 // error, which is what makes the encoding its own inverse (the fuzz target
-// checks re-encoding reproduces the payload byte for byte). A first pass
-// validates the layout and sizes the float slab so the second pass can
-// hand out slab-aliasing vectors without reallocating under them.
+// checks re-encoding reproduces the payload byte for byte). Every float
+// takes 8 payload bytes, so the payload length bounds the slab before
+// any vector is read: one pass hands out slab-aliasing vectors, and the
+// slab never reallocates under them.
 func (ib *ingestBatch) decode(payload []byte) error {
 	d := &ib.dec
 	d.Reset(payload)
@@ -189,9 +196,15 @@ func (ib *ingestBatch) decode(payload []byte) error {
 	if int(n) > d.Remaining()/minBatchSampleBytes {
 		return fmt.Errorf("wire: batch claims %d samples in %d bytes", n, d.Remaining())
 	}
-	total := 0
+	if most := d.Remaining() / 8; cap(ib.slab) < most {
+		ib.slab = make([]float64, most)
+	}
+	slab, off := ib.slab[:cap(ib.slab)], 0
+	ib.handles = ib.handles[:0]
+	ib.ests = ib.ests[:0]
+	ib.us = ib.us[:0]
 	for i := 0; i < int(n); i++ {
-		_ = d.U64() // handle
+		ib.handles = append(ib.handles, d.U64())
 		for j := 0; j < 2; j++ {
 			k := d.U32()
 			if err := d.Err(); err != nil {
@@ -200,8 +213,19 @@ func (ib *ingestBatch) decode(payload []byte) error {
 			if int(k) > d.Remaining()/8 {
 				return fmt.Errorf("wire: batch sample %d claims %d floats in %d bytes", i, k, d.Remaining())
 			}
-			d.SkipTo(d.Offset() + 8*int(k))
-			total += int(k)
+			// The claim is within the payload, so the floats are read in
+			// place rather than through the decoder's per-field checks.
+			v, at := slab[off:off+int(k):off+int(k)], d.Offset()
+			for x := range v {
+				v[x] = math.Float64frombits(binary.LittleEndian.Uint64(payload[at+8*x:]))
+			}
+			d.SkipTo(at + 8*int(k))
+			off += int(k)
+			if j == 0 {
+				ib.ests = append(ib.ests, v)
+			} else {
+				ib.us = append(ib.us, v)
+			}
 		}
 	}
 	if err := d.Err(); err != nil {
@@ -210,33 +234,7 @@ func (ib *ingestBatch) decode(payload []byte) error {
 	if d.Remaining() != 0 {
 		return fmt.Errorf("wire: %d trailing bytes after batch", d.Remaining())
 	}
-
-	ib.handles = ib.handles[:0]
-	ib.ests = ib.ests[:0]
-	ib.us = ib.us[:0]
-	if cap(ib.slab) < total {
-		ib.slab = make([]float64, total)
-	}
-	slab, off := ib.slab[:total], 0
-	d.Reset(payload)
-	_ = d.U32()
-	for i := 0; i < int(n); i++ {
-		ib.handles = append(ib.handles, d.U64())
-		for j := 0; j < 2; j++ {
-			k := int(d.U32())
-			v := slab[off : off+k : off+k]
-			for x := range v {
-				v[x] = d.F64()
-			}
-			off += k
-			if j == 0 {
-				ib.ests = append(ib.ests, v)
-			} else {
-				ib.us = append(ib.us, v)
-			}
-		}
-	}
-	return d.Err()
+	return nil
 }
 
 // appendBatchDecision encodes one sample's outcome inside a
@@ -263,20 +261,19 @@ func decodeDecisionBatch(dec *state.Decoder, out []IngestResult) error {
 		return fmt.Errorf("wire: decision batch carries %d results, want %d", n, len(out))
 	}
 	for i := range out {
-		out[i] = IngestResult{}
+		r := &out[i]
+		*r = IngestResult{}
 		switch status := dec.U8(); status {
 		case batchOK:
-			d, err := decodeDecision(dec)
-			if err != nil {
+			if err := decodeDecision(dec, &r.Decision); err != nil {
 				return err
 			}
-			out[i].Decision = d
 		case batchErr:
 			msg := dec.String()
 			if err := dec.Err(); err != nil {
 				return err
 			}
-			out[i].Err = errors.New(msg)
+			r.Err = errors.New(msg)
 		default:
 			if err := dec.Err(); err != nil {
 				return err
@@ -287,9 +284,9 @@ func decodeDecisionBatch(dec *state.Decoder, out []IngestResult) error {
 	return dec.Err()
 }
 
-// decodeDecision parses a MsgDecision payload.
-func decodeDecision(dec *state.Decoder) (core.Decision, error) {
-	var d core.Decision
+// decodeDecision parses the body of a batchOK item into d, which must be
+// zero; on error d holds whatever was decoded before the failure.
+func decodeDecision(dec *state.Decoder, d *core.Decision) error {
 	d.Step = int(dec.I64())
 	d.Window = dec.Int()
 	d.Deadline = dec.Int()
@@ -298,16 +295,16 @@ func decodeDecision(dec *state.Decoder) (core.Decision, error) {
 	d.ComplementaryStep = int(dec.I64())
 	ndims := dec.U32()
 	if err := dec.Err(); err != nil {
-		return core.Decision{}, err
+		return err
 	}
 	if ndims > 0 {
 		if int(ndims) > dec.Remaining()/8 {
-			return core.Decision{}, fmt.Errorf("wire: decision claims %d dims in %d bytes", ndims, dec.Remaining())
+			return fmt.Errorf("wire: decision claims %d dims in %d bytes", ndims, dec.Remaining())
 		}
 		d.Dims = make([]int, ndims)
 		for i := range d.Dims {
 			d.Dims[i] = dec.Int()
 		}
 	}
-	return d, dec.Err()
+	return dec.Err()
 }

@@ -215,22 +215,16 @@ func (s *Server) bindHandle(st *fleet.Stream) uint64 {
 	return s.nextHandle
 }
 
-// Ingest feeds one sample to the stream behind handle and returns its
-// decision synchronously — the response frame is the decision stream.
+// Ingest feeds one sample to the stream behind handle, as a batch of one
+// through IngestBatch, and returns its decision synchronously.
 func (s *Server) Ingest(handle uint64, estimate, appliedU []float64) (core.Decision, error) {
-	s.ingestMu.RLock()
-	defer s.ingestMu.RUnlock()
-	s.mu.Lock()
-	st := s.handles[handle]
-	draining := s.draining
-	s.mu.Unlock()
-	if st == nil {
-		return core.Decision{}, fmt.Errorf("wire: unknown handle %d", handle)
+	handles := [1]uint64{handle}
+	items := [1]fleet.BatchItem{{Estimate: estimate, AppliedU: appliedU}}
+	var out [1]fleet.BatchResult
+	if err := s.IngestBatch(s.eng.NewBatcher(), handles[:], items[:], out[:]); err != nil {
+		return core.Decision{}, err
 	}
-	if draining {
-		return core.Decision{}, errors.New("wire: server is draining")
-	}
-	return st.Submit(mat.Vec(estimate), mat.Vec(appliedU))
+	return out[0].Decision, out[0].Err
 }
 
 // IngestBatch feeds one sample per item through the fleet's batched submit
@@ -442,14 +436,13 @@ func (s *Server) acceptLoop(ln net.Listener) {
 }
 
 // connState is one connection's reusable scratch: the frame read buffer,
-// request decoder, response encoder, ingest vectors, and the batch
-// machinery. Everything is sized by the largest request seen so far, so a
-// warm connection's ingest path runs without allocating.
+// request decoder, response encoder, and the batch machinery. Everything
+// is sized by the largest request seen so far, so a warm connection's
+// ingest path runs without allocating.
 type connState struct {
 	frame   []byte
 	dec     state.Decoder
 	enc     *state.Encoder
-	est, u  []float64
 	batch   ingestBatch
 	items   []fleet.BatchItem
 	results []fleet.BatchResult
@@ -564,7 +557,7 @@ func (s *Server) handleReq(cs *connState, typ byte, payload []byte) (byte, []byt
 		if err := dec.Err(); err != nil {
 			return fail(err)
 		}
-		if v > ProtocolVersion {
+		if v != ProtocolVersion {
 			return fail(fmt.Errorf("wire: client speaks protocol %d, server %d", v, ProtocolVersion))
 		}
 		enc.String("awdserve")
@@ -585,21 +578,6 @@ func (s *Server) handleReq(cs *connState, typ byte, payload []byte) (byte, []byt
 		}
 		enc.U64(h)
 		return MsgOpened, enc.Bytes()
-	case MsgIngest:
-		h := dec.U64()
-		var err error
-		if cs.est, err = decodeF64sInto(dec, cs.est); err != nil {
-			return fail(err)
-		}
-		if cs.u, err = decodeF64sInto(dec, cs.u); err != nil {
-			return fail(err)
-		}
-		d, err := s.Ingest(h, cs.est, cs.u)
-		if err != nil {
-			return fail(err)
-		}
-		appendDecision(enc, d)
-		return MsgDecision, enc.Bytes()
 	case MsgIngestBatch:
 		if err := cs.batch.decode(payload); err != nil {
 			return fail(err)
@@ -649,29 +627,6 @@ func (s *Server) handleReq(cs *connState, typ byte, payload []byte) (byte, []byt
 	default:
 		return fail(fmt.Errorf("wire: unknown message type 0x%02x", typ))
 	}
-}
-
-// decodeF64sInto reads a length-prefixed float slice into buf's capacity,
-// growing it only when a vector exceeds every previous one — the steady-
-// state ingest path therefore decodes without allocating. The claimed
-// length is bounds-checked against the remaining payload before any
-// growth.
-func decodeF64sInto(dec *state.Decoder, buf []float64) ([]float64, error) {
-	n := dec.U32()
-	if err := dec.Err(); err != nil {
-		return buf, err
-	}
-	if int(n) > dec.Remaining()/8 {
-		return buf, fmt.Errorf("wire: vector claims %d floats in %d bytes", n, dec.Remaining())
-	}
-	if cap(buf) < int(n) {
-		buf = make([]float64, n)
-	}
-	v := buf[:n]
-	for i := range v {
-		v[i] = dec.F64()
-	}
-	return v, dec.Err()
 }
 
 // Close shuts the listeners, waits out in-flight connections, and closes

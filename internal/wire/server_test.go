@@ -235,8 +235,9 @@ func TestDrain(t *testing.T) {
 	}
 }
 
-// TestHTTPFallback drives the same lifecycle over the JSON API and
-// cross-checks one decision against the binary protocol's.
+// TestHTTPFallback drives the same lifecycle over the JSON API, one
+// sample per /v1/ingest-batch post alternating with binary Client.Ingest
+// on the same stream, and checks every decision against a serial twin.
 func TestHTTPFallback(t *testing.T) {
 	srv, addr := startServer(t, Config{Workers: 1})
 	httpAddr, err := srv.StartHTTP("127.0.0.1:0")
@@ -288,9 +289,17 @@ func TestHTTPFallback(t *testing.T) {
 	for i := range ests {
 		var got decisionJSON
 		if i%2 == 0 {
-			if err := post("/v1/ingest", ingestRequest{Handle: opened.Handle, Estimate: ests[i], Input: u}, &got); err != nil {
+			var resp struct {
+				Items []ingestBatchItemJSON `json:"items"`
+			}
+			one := ingestBatchRequest{Items: []ingestRequest{{Handle: opened.Handle, Estimate: ests[i], Input: u}}}
+			if err := post("/v1/ingest-batch", one, &resp); err != nil {
 				t.Fatalf("ingest %d: %v", i, err)
 			}
+			if len(resp.Items) != 1 || resp.Items[0].Decision == nil {
+				t.Fatalf("ingest %d: one-item batch answered %+v", i, resp.Items)
+			}
+			got = *resp.Items[0].Decision
 		} else {
 			d, err := c.Ingest(bh, ests[i], u)
 			if err != nil {
@@ -325,8 +334,11 @@ func TestHTTPFallback(t *testing.T) {
 }
 
 // TestProtocolRejections pins the refusal paths of the frame layer and
-// the request validation: oversized frames, unknown messages, unknown
-// handles, bad strategies, and restore without a checkpoint directory.
+// the request validation: unknown messages, unknown handles, bad
+// strategies, restore without a checkpoint directory, and the defined
+// behaviour for older clients — a Hello announcing protocol 2 is refused
+// with an error naming both versions, and a retired single-sample ingest
+// frame (type 0x03) is answered with MsgError on a live connection.
 func TestProtocolRejections(t *testing.T) {
 	srv, addr := startServer(t, Config{})
 	c := dial(t, addr)
@@ -360,5 +372,62 @@ func TestProtocolRejections(t *testing.T) {
 	if _, err := c.Open("acme", "ok", "aircraft-pitch", "adaptive", 0); err != nil {
 		t.Fatalf("open after protocol error: %v", err)
 	}
+
+	// A frame of the retired single-sample ingest type gets MsgError, and
+	// the connection then serves the next Open.
+	c.reset()
+	c.enc.U64(1)
+	c.enc.F64s([]float64{0})
+	c.enc.F64s([]float64{0})
+	if rtyp, _, err := c.roundTrip(0x03); err == nil || rtyp != MsgError {
+		t.Fatalf("retired ingest frame: rtyp=0x%02x err=%v", rtyp, err)
+	}
+	if _, err := c.Open("acme", "after-retired", "aircraft-pitch", "adaptive", 0); err != nil {
+		t.Fatalf("open after retired frame: %v", err)
+	}
+
+	// A protocol-2 client is turned away at the handshake, told both
+	// versions.
+	old := dial(t, addr)
+	old.reset()
+	old.enc.U16(2)
+	old.enc.String("v2-client")
+	rtyp, _, err = old.roundTrip(MsgHello)
+	if err == nil || rtyp != MsgError {
+		t.Fatalf("protocol 2 hello: rtyp=0x%02x err=%v", rtyp, err)
+	}
+	if want := fmt.Sprintf("protocol 2, server %d", ProtocolVersion); !strings.Contains(err.Error(), want) {
+		t.Fatalf("protocol 2 hello error %q does not name both versions (%q)", err, want)
+	}
 	_ = srv
+}
+
+// TestHTTPBodyLimit pins the HTTP fallback's request bound: a body past
+// MaxFrame is answered 413 without being read to its end, and the server
+// goes on serving.
+func TestHTTPBodyLimit(t *testing.T) {
+	srv, _ := startServer(t, Config{})
+	httpAddr, err := srv.StartHTTP("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("StartHTTP: %v", err)
+	}
+	// Syntactically valid JSON as far as it goes, so only the size limit
+	// can stop the decoder.
+	body := `{"items":[{"handle":1,"estimate":[` + strings.Repeat("0,", MaxFrame/2) + `0]}]}`
+	resp, err := http.Post("http://"+httpAddr+"/v1/ingest-batch", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("oversized POST: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized /v1/ingest-batch: %s, want 413", resp.Status)
+	}
+	var opened struct {
+		Handle uint64 `json:"handle"`
+	}
+	postJSON(t, httpAddr, "/v1/open",
+		openRequest{Tenant: "acme", Stream: "after-413", Model: "aircraft-pitch", Strategy: "adaptive"}, &opened)
+	if opened.Handle == 0 {
+		t.Fatalf("open after 413 returned handle 0")
+	}
 }
