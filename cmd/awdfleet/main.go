@@ -109,9 +109,10 @@ func main() {
 		wg.Done()
 	}
 
-	// Every stream runs the paper's adaptive detector over its own copy of
-	// the plant; the engine groups them into shards itself because the
-	// model matrices are bit-identical. The shared observer makes each
+	// Every stream runs the paper's adaptive detector over the one shared
+	// registry instance of the plant, so all of them read one set of
+	// reachability tables; the engine groups them into shards by their
+	// bit-identical model matrices. The shared observer makes each
 	// stream's steps visible on /metrics and its stream-stamped trace
 	// events flow to the /stream tail and -trace-out sink.
 	if *restoreFrom != "" {
@@ -129,7 +130,7 @@ func main() {
 			os.Exit(1)
 		}
 		err = eng.Restore(dec, func(id string) (*core.System, func(core.Decision, error), error) {
-			det, err := sim.Detector(sim.Config{Model: models.ByName(*modelName), Strategy: sim.Adaptive, Observer: obsrv})
+			det, err := sim.Detector(sim.Config{Model: m, Strategy: sim.Adaptive, Observer: obsrv})
 			return det, onDecision, err
 		})
 		if err != nil {
@@ -151,7 +152,7 @@ func main() {
 			}
 			hs[i] = h
 		} else {
-			det, err := sim.Detector(sim.Config{Model: models.ByName(*modelName), Strategy: sim.Adaptive, Observer: obsrv})
+			det, err := sim.Detector(sim.Config{Model: m, Strategy: sim.Adaptive, Observer: obsrv})
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "awdfleet:", err)
 				os.Exit(1)

@@ -24,10 +24,18 @@
 //
 // Sensor-noise amplitudes are chosen so that τ sits above the clean-run
 // average residual, reproducing the qualitative Fig. 7 trade-off.
+//
+// ByName serves one registry, built once per process: every caller that
+// names a plant gets the same *Model, so the detectors of every stream of
+// that plant share one *lti.System and one set of reachability tables.
+// Registry instances are shared and read-only. The constructors and All
+// build private copies on every call, for the sweeps that change a field
+// (w_m, τ) before running.
 package models
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/control"
 	"repro/internal/geom"
@@ -56,8 +64,10 @@ type AttackDefaults struct {
 }
 
 // Model bundles a plant with its Table 1 hyper-parameters and evaluation
-// defaults. Instances are immutable configuration; controllers and
-// detectors are constructed fresh per run.
+// defaults. Controllers and detectors are constructed fresh per run. The
+// instance ByName returns is shared by every caller in the process and
+// must not be mutated; the constructors (AircraftPitch, ...) and All
+// return private copies that a sweep may change before use.
 type Model struct {
 	Name string
 	No   int // Table 1 simulator number (0 for the testbed)
@@ -401,10 +411,20 @@ func All() []*Model {
 	}
 }
 
-// ByName returns the model with the given name (including "testbed-car"),
-// or nil if unknown.
+// registry holds the instances ByName hands out: the five Table 1
+// simulators in paper order, then the testbed car, built once per process.
+var registry = sync.OnceValue(func() []*Model { return append(All(), TestbedCar()) })
+
+// ByName returns the registry instance of the model with the given name
+// (including "testbed-car"), or nil if unknown. Every call for a name
+// returns the same *Model, so every detector built from it shares one
+// *lti.System, and reach.Shared, which keys on that pointer, builds the
+// plant's reachability tables once per process. The instance is shared
+// and read-only: callers must not mutate it or anything it points to. A
+// sweep that changes a field starts from a constructor or All, which
+// return private copies.
 func ByName(name string) *Model {
-	for _, m := range append(All(), TestbedCar()) {
+	for _, m := range registry() {
 		if m.Name == name {
 			return m
 		}
@@ -415,7 +435,7 @@ func ByName(name string) *Model {
 // Names lists every registered model name in registry order — the valid
 // values for ByName, used by the CLI tools' unknown-model diagnostics.
 func Names() []string {
-	ms := append(All(), TestbedCar())
+	ms := registry()
 	names := make([]string, len(ms))
 	for i, m := range ms {
 		names[i] = m.Name

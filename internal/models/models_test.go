@@ -2,6 +2,7 @@ package models
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/mat"
@@ -32,6 +33,22 @@ func TestByName(t *testing.T) {
 	}
 	if ByName("warp-drive") != nil {
 		t.Error("unknown name should return nil")
+	}
+	// ByName serves one registry instance per name, so every stream of a
+	// plant shares its *lti.System (and thus its reachability tables).
+	wantNames := []string{"aircraft-pitch", "vehicle-turning", "series-rlc", "dc-motor", "quadrotor", "testbed-car"}
+	if got := Names(); !slices.Equal(got, wantNames) {
+		t.Errorf("Names() = %v, want %v", got, wantNames)
+	}
+	for _, name := range Names() {
+		a, b := ByName(name), ByName(name)
+		if a == nil || a != b {
+			t.Errorf("ByName(%q) returned distinct instances %p and %p", name, a, b)
+		}
+	}
+	// The constructors and All still hand out private copies.
+	if Quadrotor() == ByName("quadrotor") || All()[0] == ByName("aircraft-pitch") {
+		t.Error("constructors must not return the shared registry instance")
 	}
 }
 

@@ -87,3 +87,44 @@ func TestServerBatchIngestSteadyStateAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestServerOpenAllocs pins the cost of opening a stream. Every stream of
+// a plant shares the registry model and its reachability tables, so an
+// Open builds only the stream's own detector state: 71 allocations for
+// the 12-state quadrotor and 27 for vehicle-turning. The ceilings are
+// twice those counts; an Open that rebuilds the plant and its tables
+// allocates ~2,200 and ~800.
+func TestServerOpenAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		model string
+		max   float64
+	}{
+		{"quadrotor", 142},
+		{"vehicle-turning", 54},
+	} {
+		t.Run(tc.model, func(t *testing.T) {
+			srv := NewServer(Config{Workers: 2})
+			defer srv.Close()
+			// The first Open of a plant builds its reachability tables once
+			// for the process; what is pinned is every Open after it.
+			if _, err := srv.Open("alloc", "warm", tc.model, "adaptive", 0); err != nil {
+				t.Fatalf("Open(warm): %v", err)
+			}
+			const runs = 200
+			ids := make([]string, runs+1) // AllocsPerRun adds one warm-up call
+			for i := range ids {
+				ids[i] = fmt.Sprintf("s-%04d", i)
+			}
+			next := 0
+			avg := testing.AllocsPerRun(runs, func() {
+				if _, err := srv.Open("alloc", ids[next], tc.model, "adaptive", 0); err != nil {
+					t.Fatalf("Open(%s): %v", ids[next], err)
+				}
+				next++
+			})
+			if avg > tc.max {
+				t.Fatalf("Open of a %s stream allocates %.1f, want <= %.0f", tc.model, avg, tc.max)
+			}
+		})
+	}
+}

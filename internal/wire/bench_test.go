@@ -232,6 +232,33 @@ func BenchmarkServeIngestWireConns(b *testing.B) {
 	}
 }
 
+// BenchmarkServeOpen measures stream set-up: one Client.Open round trip on
+// loopback per op, each for a fresh stream id, on a server where the plant
+// already has a stream (its reachability tables are built). This is the
+// per-stream cost a server pays when a fleet connects, on the 12-state
+// quadrotor and the 1-state vehicle-turning plant.
+func BenchmarkServeOpen(b *testing.B) {
+	for _, model := range []string{"quadrotor", "vehicle-turning"} {
+		b.Run("model="+model, func(b *testing.B) {
+			c, _, _, _ := benchBatchServer(b, 0)
+			if _, err := c.Open("bench", "warm", model, "adaptive", 0); err != nil {
+				b.Fatalf("Open(warm): %v", err)
+			}
+			ids := make([]string, b.N)
+			for i := range ids {
+				ids[i] = fmt.Sprintf("s-%07d", i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.Open("bench", ids[i], model, "adaptive", 0); err != nil {
+					b.Fatalf("Open(%s): %v", ids[i], err)
+				}
+			}
+		})
+	}
+}
+
 // benchFleet builds a warmed fleet of n adaptive aircraft-pitch streams.
 func benchFleet(b *testing.B, n int) (*fleet.Engine, func(id string) (*core.System, func(core.Decision, error), error)) {
 	b.Helper()

@@ -88,8 +88,15 @@ type streamSpec struct {
 	fixedWin       int
 }
 
+// minSpecBytes is the smallest encoding of a streamSpec in a checkpoint:
+// four empty length-prefixed strings and an Int.
+const minSpecBytes = 4*4 + 8
+
 func (sp streamSpec) id() string { return sp.tenant + "/" + sp.stream }
 
+// detector builds the stream's detector over the shared registry instance
+// of its model, so every stream of a plant reuses one set of reachability
+// tables (reach.Shared keys on the plant pointer).
 func (sp streamSpec) detector(o *obs.Observer) (*core.System, error) {
 	m := models.ByName(sp.model)
 	if m == nil {
@@ -352,7 +359,10 @@ func (s *Server) Restore(name string) (int, error) {
 	if err := dec.Err(); err != nil {
 		return 0, err
 	}
-	specs := make(map[string]streamSpec, n)
+	// The count is untrusted file content: size the map by the specs the
+	// remaining bytes can actually hold, so a corrupt count fails the
+	// decode below instead of allocating for four billion entries.
+	specs := make(map[string]streamSpec, min(int(n), dec.Remaining()/minSpecBytes))
 	for i := 0; i < int(n); i++ {
 		var sp streamSpec
 		var strategy string

@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -14,6 +17,7 @@ import (
 	"repro/internal/models"
 	"repro/internal/noise"
 	"repro/internal/sim"
+	"repro/internal/state"
 )
 
 func wireDecisionsEqual(a, b core.Decision) bool {
@@ -429,5 +433,171 @@ func TestHTTPBodyLimit(t *testing.T) {
 		openRequest{Tenant: "acme", Stream: "after-413", Model: "aircraft-pitch", Strategy: "adaptive"}, &opened)
 	if opened.Handle == 0 {
 		t.Fatalf("open after 413 returned handle 0")
+	}
+}
+
+// TestStreamsSharePlant pins that every stream of a plant runs over the
+// one registry instance of its model — live streams opened over separate
+// connections and streams rebuilt by Restore alike — so reach.Shared,
+// which keys on the plant pointer, builds each plant's tables once per
+// process. The two connections ingest concurrently, before and after the
+// restore, and the test then checks that nothing on the serving path
+// wrote into the shared models: each registry instance must still equal
+// a freshly built copy.
+func TestStreamsSharePlant(t *testing.T) {
+	dir := t.TempDir()
+	srv, addr := startServer(t, Config{CheckpointDir: dir, Workers: 2})
+	conns := []*Client{dial(t, addr), dial(t, addr)}
+	strategies := []string{"adaptive", "fixed", "cusum", "ewma"}
+	type opened struct {
+		tenant, model, strategy string
+		conn                    int
+		handle                  uint64
+	}
+	var streams []opened
+	openAll := func() {
+		t.Helper()
+		streams = streams[:0]
+		for i, name := range models.Names() {
+			for k, c := range conns {
+				st := opened{tenant: fmt.Sprintf("tenant-%d", k), model: name, strategy: strategies[(i+k)%len(strategies)], conn: k}
+				h, err := c.Open(st.tenant, name, name, st.strategy, 0)
+				if err != nil {
+					t.Fatalf("Open(%s/%s, %s): %v", st.tenant, name, st.strategy, err)
+				}
+				st.handle = h
+				streams = append(streams, st)
+			}
+		}
+	}
+	ingest := func(steps int) {
+		t.Helper()
+		var wg sync.WaitGroup
+		for k, c := range conns {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for _, st := range streams {
+					if st.conn != k {
+						continue
+					}
+					ests, u := wireTrajectory(models.ByName(st.model), 3, steps)
+					for i := range ests {
+						if _, err := c.Ingest(st.handle, ests[i], u); err != nil {
+							t.Errorf("Ingest(%s/%s, %d): %v", st.tenant, st.model, i, err)
+							return
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+	}
+	checkShared := func(label string, s *Server) {
+		t.Helper()
+		for _, st := range streams {
+			id := st.tenant + "/" + st.model
+			fs, ok := s.Engine().Stream(id)
+			if !ok {
+				t.Fatalf("%s: no stream %s", label, id)
+			}
+			if got, want := fs.Detector().Plant(), models.ByName(st.model).Sys; got != want {
+				t.Errorf("%s: stream %s runs over plant %p, registry instance of %s is %p", label, id, got, st.model, want)
+			}
+		}
+	}
+	openAll()
+	ingest(12)
+	checkShared("live", srv)
+	if _, err := conns[0].Checkpoint("share.awds"); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+
+	restored, addr2 := startServer(t, Config{CheckpointDir: dir, Workers: 2})
+	conns = []*Client{dial(t, addr2), dial(t, addr2)}
+	if _, err := conns[0].Restore("share.awds"); err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	checkShared("restored", restored)
+	// Re-attach and step the restored streams too, so the no-write check
+	// below covers the restored step path.
+	openAll()
+	ingest(12)
+
+	for _, fresh := range append(models.All(), models.TestbedCar()) {
+		if shared := models.ByName(fresh.Name); !reflect.DeepEqual(shared, fresh) {
+			t.Errorf("registry instance of %s no longer equals a freshly built copy: a serving layer wrote into the shared model", fresh.Name)
+		}
+	}
+}
+
+// TestRestoreCorruptSpecCount pins Restore against an untrusted spec
+// count: a checkpoint that is only a header, the server section header and
+// a count of 0xFFFFFFFF must fail with an error instead of sizing an
+// allocation by the count, and the server must go on serving Open and a
+// Checkpoint/Restore round trip.
+func TestRestoreCorruptSpecCount(t *testing.T) {
+	dir := t.TempDir()
+	enc := state.NewEncoder()
+	enc.Header()
+	enc.Begin(state.TagServer, serverStateVersion)
+	enc.U32(0xFFFFFFFF)
+	if enc.Len() != 12 {
+		t.Fatalf("corrupt checkpoint is %d bytes, want 12", enc.Len())
+	}
+	if err := state.WriteFile(filepath.Join(dir, "corrupt.awds"), enc.Bytes()); err != nil {
+		t.Fatalf("WriteFile: %v", err)
+	}
+
+	srv, addr := startServer(t, Config{CheckpointDir: dir, Workers: 2})
+	c := dial(t, addr)
+	if detail, err := c.Restore("corrupt.awds"); err == nil {
+		t.Fatalf("Restore of a corrupt count succeeded: %s", detail)
+	}
+	if n, err := srv.Restore("corrupt.awds"); err == nil {
+		t.Fatalf("in-process Restore of a corrupt count succeeded with %d streams", n)
+	}
+
+	m := models.ByName("vehicle-turning")
+	ests, u := wireTrajectory(m, 5, 20)
+	h, err := c.Open("acme", "after-corrupt", m.Name, "adaptive", 0)
+	if err != nil {
+		t.Fatalf("Open after corrupt restore: %v", err)
+	}
+	want := make([]core.Decision, len(ests))
+	for i := 0; i < 10; i++ {
+		if want[i], err = c.Ingest(h, ests[i], u); err != nil {
+			t.Fatalf("Ingest(%d): %v", i, err)
+		}
+	}
+	if _, err := c.Checkpoint("good.awds"); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	for i := 10; i < len(ests); i++ {
+		if want[i], err = c.Ingest(h, ests[i], u); err != nil {
+			t.Fatalf("Ingest(%d): %v", i, err)
+		}
+	}
+
+	_, addr2 := startServer(t, Config{CheckpointDir: dir, Workers: 2})
+	c2 := dial(t, addr2)
+	if detail, err := c2.Restore("good.awds"); err != nil || detail != "1 streams" {
+		t.Fatalf("Restore(good.awds) = %q, %v; want 1 stream", detail, err)
+	}
+	h2, err := c2.Open("acme", "after-corrupt", m.Name, "adaptive", 0)
+	if err != nil {
+		t.Fatalf("re-Open after restore: %v", err)
+	}
+	for i := 10; i < len(ests); i++ {
+		got, err := c2.Ingest(h2, ests[i], u)
+		if err != nil {
+			t.Fatalf("restored Ingest(%d): %v", i, err)
+		}
+		if !wireDecisionsEqual(got, want[i]) {
+			t.Fatalf("step %d: restored decision %+v != original %+v", i, got, want[i])
+		}
 	}
 }
