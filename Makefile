@@ -94,8 +94,10 @@ bench-fleet-smoke:
 # single-sample round trip, since a sample is a batch of one), pipelined
 # (async in-flight window of one-item frames), and multi-connection —
 # plus stream set-up (ServeOpen: one Open round trip for a fresh stream
-# of a plant whose tables are already built) and the whole-fleet
-# snapshot/restore codec throughput behind Checkpoint/Restore.
+# of a plant whose tables are already built), a whole Server.Checkpoint
+# into its file (ServeCheckpoint: B/op is a checkpoint's memory cost) and
+# the whole-fleet snapshot/restore codec throughput behind
+# Checkpoint/Restore.
 # SERVE_MIN_SPEEDUP is the amortization floor the re-measurement enforces:
 # the largest batch row's per-sample throughput must be at least this
 # multiple of the batch=1 row's (measured ~20x on the reference 1-vCPU
@@ -107,20 +109,21 @@ bench-serve:
 		| $(GO) run ./cmd/awdbench -out BENCH_serve.json -phase before \
 			-title "fleet server: one ingest or Open round trip on loopback, and whole-fleet checkpoint/restore (adaptive; aircraft-pitch unless the row names a model)" \
 			-note "HTTP/JSON fallback: one one-item POST /v1/ingest-batch per sample"
-	$(GO) test -run '^$$' -bench 'ServeIngestWire|ServeIngestPipelined|ServeOpen|FleetSnapshot|FleetRestore' -benchmem -benchtime 1s -count 3 ./internal/wire/ \
+	$(GO) test -run '^$$' -bench 'ServeIngestWire|ServeIngestPipelined|ServeOpen|ServeCheckpoint|FleetSnapshot|FleetRestore' -benchmem -benchtime 1s -count 3 ./internal/wire/ \
 		| $(GO) run ./cmd/awdbench -out BENCH_serve.json -phase after \
-			-note "binary protocol: MsgIngestBatch at batch=1..256, pipelined one-item frames, multi-connection, Open per fresh stream"
+			-note "binary protocol: MsgIngestBatch at batch=1..256, pipelined one-item frames, multi-connection, Open per fresh stream, Checkpoint into a file"
 	$(GO) run ./cmd/awdbench -check-flat BENCH_serve.json -phase after \
 		-scale-key batch -base batch=1 -metric samples/sec -min-frac $(SERVE_MIN_SPEEDUP)
 
 # Short batching smoke for CI: the smallest and largest batch rows, a few
 # iterations each, into a throwaway ledger, then the same gate at a looser
 # floor (one-shot samples on shared runners are noisier than the committed
-# 3x1s ledger). The ServeOpen rows ride along so CI runs the set-up
-# benchmark too; the gate reads only batch= rows.
+# 3x1s ledger). The ServeOpen and ServeCheckpoint rows ride along so CI
+# runs the set-up and checkpoint benchmarks too; the gate reads only
+# batch= rows.
 SERVE_SMOKE_MIN_SPEEDUP ?= 6
 bench-serve-smoke:
-	$(GO) test -run '^$$' -bench 'ServeIngestWireBatch/batch=(1|256)$$|ServeOpen' -benchmem -benchtime 20x ./internal/wire/ \
+	$(GO) test -run '^$$' -bench 'ServeIngestWireBatch/batch=(1|256)$$|ServeOpen|ServeCheckpoint' -benchmem -benchtime 20x ./internal/wire/ \
 		| $(GO) run ./cmd/awdbench -out /tmp/bench_serve_smoke.json -phase after -note "CI batching smoke"
 	$(GO) run ./cmd/awdbench -check-flat /tmp/bench_serve_smoke.json -phase after \
 		-scale-key batch -base batch=1 -metric samples/sec -min-frac $(SERVE_SMOKE_MIN_SPEEDUP)

@@ -195,17 +195,15 @@ func main() {
 	}
 	elapsed := time.Since(start)
 	if *ckptOut != "" {
-		enc := state.NewEncoder()
-		enc.Header()
-		if err := eng.Snapshot(enc); err != nil {
+		n, err := state.EncodeFile(*ckptOut, func(enc *state.Encoder) error {
+			enc.Header()
+			return eng.Snapshot(enc)
+		})
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "awdfleet:", err)
 			os.Exit(1)
 		}
-		if err := state.WriteFile(*ckptOut, enc.Bytes()); err != nil {
-			fmt.Fprintln(os.Stderr, "awdfleet:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("checkpoint: %d streams, %d bytes -> %s\n", eng.Streams(), enc.Len(), *ckptOut)
+		fmt.Printf("checkpoint: %d streams, %d bytes -> %s\n", eng.Streams(), n, *ckptOut)
 	}
 	if err := eng.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "awdfleet:", err)

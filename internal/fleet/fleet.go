@@ -173,6 +173,13 @@ func (e *Engine) ShardSize() int { return e.cfg.ShardSize }
 // synchronously for the same stream. Streams with content-identical plant
 // matrices land in the same shard.
 func (e *Engine) AddStream(id string, det *core.System, onDecision func(core.Decision, error)) (*Stream, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.addStream(id, det, onDecision)
+}
+
+// addStream is AddStream with e.mu held for writing.
+func (e *Engine) addStream(id string, det *core.System, onDecision func(core.Decision, error)) (*Stream, error) {
 	if id == "" {
 		return nil, errors.New("fleet: empty stream id")
 	}
@@ -183,8 +190,6 @@ func (e *Engine) AddStream(id string, det *core.System, onDecision func(core.Dec
 		return nil, fmt.Errorf("fleet: stream %q: detection system has already observed %d samples", id, det.Log().Observed())
 	}
 	sys := det.Plant()
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if e.closed.Load() {
 		return nil, ErrClosed
 	}
@@ -254,6 +259,24 @@ func (e *Engine) AddStream(id string, det *core.System, onDecision func(core.Dec
 		sh.mStreams.SetInt(sh.nstreams)
 	}
 	return s, nil
+}
+
+// dropAll unregisters every stream and shard, returning the registry to a
+// new engine's; e.mu must be held for writing. Only a failed Restore calls
+// it, while its write hold has kept every caller away from the streams.
+func (e *Engine) dropAll() {
+	for _, sh := range e.shards {
+		if sh.mStreams != nil {
+			sh.mStreams.SetInt(0)
+		}
+	}
+	clear(e.streams)
+	clear(e.open)
+	e.shards = nil
+	if e.o.Enabled() {
+		e.mStreams.SetInt(0)
+		e.mShards.SetInt(0)
+	}
 }
 
 // newShard creates a shard for the plant behind key; e.mu must be held.

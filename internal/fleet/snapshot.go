@@ -18,7 +18,8 @@ const fleetStateVersion = 1
 // configuration the stream had when the snapshot was taken (the per-
 // component Restore validation catches structural drift, but semantic
 // parameters like thresholds are the caller's obligation — they are part
-// of the stream's identity, not its state).
+// of the stream's identity, not its state). Restore calls it with the
+// engine's registration lock held, so it must not call into the engine.
 type MakeStream func(id string) (*core.System, func(core.Decision, error), error)
 
 // Snapshot encodes the complete runtime state of every registered stream,
@@ -106,16 +107,26 @@ func (e *Engine) Snapshot(enc *state.Encoder) error {
 // Snapshot).
 //
 // Restore must run before any ingest; it fails on an engine that already
-// has streams. After a successful restore every stream continues its
-// decision sequence bit-identically to the engine the snapshot was taken
-// from.
-func (e *Engine) Restore(dec *state.Decoder, make MakeStream) error {
+// has streams. It holds the registration lock throughout, so no caller
+// sees a half-restored fleet, and it is all-or-nothing: on any error it
+// drops every stream it registered, leaving the engine empty for
+// AddStream or another Restore. After a successful restore every stream
+// continues its decision sequence bit-identically to the engine the
+// snapshot was taken from.
+func (e *Engine) Restore(dec *state.Decoder, make MakeStream) (err error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.closed.Load() {
 		return ErrClosed
 	}
-	if e.Streams() != 0 {
-		return fmt.Errorf("fleet: restore into an engine with %d streams", e.Streams())
+	if len(e.streams) != 0 {
+		return fmt.Errorf("fleet: restore into an engine with %d streams", len(e.streams))
 	}
+	defer func() {
+		if err != nil {
+			e.dropAll()
+		}
+	}()
 	dec.Expect(state.TagFleet, fleetStateVersion)
 	n := dec.U32()
 	if err := dec.Err(); err != nil {
@@ -131,10 +142,11 @@ func (e *Engine) Restore(dec *state.Decoder, make MakeStream) error {
 		if err != nil {
 			return fmt.Errorf("fleet: restore stream %q: %w", id, err)
 		}
-		h, err := e.AddStream(id, det, onDecision)
+		h, err := e.addStream(id, det, onDecision)
 		if err != nil {
 			return fmt.Errorf("fleet: restore stream %q: %w", id, err)
 		}
+		//awdlint:allow lockflow -- restoring under the registration write lock is what makes Restore all-or-nothing; no stream is reachable by ingest yet
 		if err := det.Restore(dec); err != nil {
 			return fmt.Errorf("fleet: restore stream %q: %w", id, err)
 		}
@@ -154,7 +166,8 @@ func (e *Engine) Restore(dec *state.Decoder, make MakeStream) error {
 		if err := dec.Err(); err != nil {
 			return err
 		}
-		if s, ok := e.Stream(id); ok && s.cert != nil {
+		if s := e.streams[id]; s != nil && s.cert != nil {
+			//awdlint:allow lockflow -- same registration write hold as the stream restore above
 			if err := s.cert.Restore(dec); err != nil {
 				if dec.Err() != nil {
 					return err // snapshot bytes are corrupt, not just mismatched

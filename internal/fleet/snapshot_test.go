@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -308,6 +309,84 @@ func TestRestoreValidation(t *testing.T) {
 	}
 	if err := eng3.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
+	}
+}
+
+// TestRestoreAllOrNothing pins that a failed Restore leaves the engine as
+// it found it — empty — instead of holding the streams registered before
+// the failure: truncations of a snapshot of all six plants under all four
+// strategies at thirty points, and a make that fails part-way, must error
+// with no stream and no shard left, and the same engine must then restore the
+// intact snapshot and re-encode it byte for byte.
+func TestRestoreAllOrNothing(t *testing.T) {
+	strategies := []sim.Strategy{sim.Adaptive, sim.FixedWindow, sim.CUSUMBaseline, sim.EWMABaseline}
+	eng := New(Config{Workers: 2, ShardSize: 3})
+	for _, name := range models.Names() {
+		m := models.ByName(name)
+		for _, strat := range strategies {
+			for k := 0; k < 2; k++ {
+				id := fmt.Sprintf("%s/%v/%d", name, strat, k)
+				if _, err := eng.AddStream(id, newDetector(t, m, strat), nil); err != nil {
+					t.Fatalf("AddStream(%s): %v", id, err)
+				}
+				ests, us := synthTrajectory(m, uint64(len(id)+k), 12)
+				for i := range ests {
+					if _, err := eng.Submit(id, ests[i], us[i]); err != nil {
+						t.Fatalf("Submit(%s, %d): %v", id, i, err)
+					}
+				}
+			}
+		}
+	}
+	blob := engineSnapshot(t, eng)
+	if err := eng.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	mk := func(id string) (*core.System, func(core.Decision, error), error) {
+		parts := strings.SplitN(id, "/", 3)
+		for _, strat := range strategies {
+			if strat.String() == parts[1] {
+				det, err := sim.Detector(sim.Config{Model: models.ByName(parts[0]), Strategy: strat})
+				return det, nil, err
+			}
+		}
+		return nil, nil, fmt.Errorf("no strategy in %q", id)
+	}
+
+	fresh := New(Config{Workers: 2, ShardSize: 3})
+	defer fresh.Close()
+	checkEmpty := func(label string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s: Restore succeeded", label)
+		}
+		if n, sh := fresh.Streams(), fresh.Shards(); n != 0 || sh != 0 {
+			t.Fatalf("%s: failed Restore (%v) left %d streams in %d shards", label, err, n, sh)
+		}
+	}
+	for cut := len(state.Magic) + 2 + 1; cut < len(blob); cut += len(blob)/29 + 1 {
+		dec := state.NewDecoder(blob[:cut])
+		if err := dec.Header(); err != nil {
+			t.Fatalf("header of %d-byte cut: %v", cut, err)
+		}
+		checkEmpty(fmt.Sprintf("%d of %d bytes", cut, len(blob)), fresh.Restore(dec, mk))
+	}
+	dec := state.NewDecoder(blob[:len(blob)-1])
+	_ = dec.Header()
+	checkEmpty("all but the last byte", fresh.Restore(dec, mk))
+	dec = state.NewDecoder(blob)
+	_ = dec.Header()
+	calls := 0
+	checkEmpty("make failing at the tenth stream", fresh.Restore(dec, func(id string) (*core.System, func(core.Decision, error), error) {
+		if calls++; calls == 10 {
+			return nil, nil, fmt.Errorf("no detector for %s", id)
+		}
+		return mk(id)
+	}))
+
+	engineRestore(t, fresh, blob, mk)
+	if got := engineSnapshot(t, fresh); !bytes.Equal(got, blob) {
+		t.Fatalf("engine restored after failed restores re-encodes to %d bytes that differ from the %d-byte snapshot", len(got), len(blob))
 	}
 }
 

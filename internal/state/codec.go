@@ -34,6 +34,7 @@ package state
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math"
 )
 
@@ -62,22 +63,38 @@ const (
 // ErrTruncated reports a read past the end of the snapshot buffer.
 var ErrTruncated = errors.New("state: truncated snapshot")
 
+// spillThreshold is how many bytes an encoder with a sink (EncodeFile)
+// buffers before it writes them out at the next component boundary. It
+// bounds a checkpoint's memory independently of the fleet's size and
+// does not affect a single byte of the output.
+const spillThreshold = 256 << 10
+
 // Encoder builds a snapshot by appending to an owned buffer. The zero
 // value is ready to use; the write methods never fail (the buffer grows as
 // needed), so component Snapshot methods need no error plumbing.
+//
+// An encoder made by EncodeFile also has a sink: at each Begin, once more
+// than spillThreshold bytes are buffered and no Mark section is open, it
+// writes the buffer to the sink and reuses it. A sink write error is
+// kept and reported by EncodeFile; the component code never sees it.
 type Encoder struct {
-	buf []byte
+	buf     []byte
+	w       io.Writer // sink for spilled bytes; nil keeps every byte in buf
+	spilled int       // bytes already written to w
+	open    int       // Mark sections not yet Patched
+	err     error     // first write error from w
 }
 
 // NewEncoder returns an empty encoder.
 func NewEncoder() *Encoder { return &Encoder{} }
 
-// Bytes returns the encoded snapshot. The slice aliases the encoder's
+// Bytes returns the encoded snapshot — for an encoder with a sink, only
+// the bytes not yet written to it. The slice aliases the encoder's
 // buffer; it is valid until the next write.
 func (e *Encoder) Bytes() []byte { return e.buf }
 
-// Len returns the number of bytes encoded so far.
-func (e *Encoder) Len() int { return len(e.buf) }
+// Len returns the number of bytes encoded so far, spilled ones included.
+func (e *Encoder) Len() int { return e.spilled + len(e.buf) }
 
 // Reset discards the encoded bytes but keeps the buffer, so a long-lived
 // encoder (a network client staging one request per round trip) stops
@@ -93,8 +110,24 @@ func (e *Encoder) Header() {
 }
 
 // Begin writes a component header: its tag byte and component version.
+// A component boundary is where an encoder with a sink spills: every byte
+// before it is final unless a Mark section is still open.
 func (e *Encoder) Begin(tag byte, version uint8) {
+	if e.w != nil && e.open == 0 && len(e.buf) > spillThreshold {
+		e.spill()
+	}
 	e.buf = append(e.buf, tag, version)
+}
+
+// spill writes the buffered bytes to the sink and empties the buffer.
+// After a write error the bytes are dropped rather than kept: the file is
+// lost either way, and dropping keeps the memory bound.
+func (e *Encoder) spill() {
+	if e.err == nil {
+		_, e.err = e.w.Write(e.buf)
+	}
+	e.spilled += len(e.buf)
+	e.buf = e.buf[:0]
 }
 
 // U8 appends one byte.
@@ -159,21 +192,26 @@ func (e *Encoder) Bytes32(b []byte) {
 
 // Mark reserves a u32 length slot and returns its offset; pair with Patch
 // to frame a section whose byte length is only known after encoding it —
-// readers can then skip the section wholesale (Decoder.SectionEnd).
+// readers can then skip the section wholesale (Decoder.SectionEnd). An
+// open section stays in the buffer until its Patch, so the section is
+// what an encoder with a sink holds beyond spillThreshold.
 func (e *Encoder) Mark() int {
-	off := len(e.buf)
+	off := e.Len()
+	e.open++
 	e.U32(0)
 	return off
 }
 
 // Patch writes the number of bytes encoded since Mark into the reserved
-// slot at off.
+// slot at off and closes the section.
 func (e *Encoder) Patch(off int) {
-	n := uint32(len(e.buf) - off - 4)
-	e.buf[off] = byte(n)
-	e.buf[off+1] = byte(n >> 8)
-	e.buf[off+2] = byte(n >> 16)
-	e.buf[off+3] = byte(n >> 24)
+	n := uint32(e.Len() - off - 4)
+	b := e.buf[off-e.spilled:]
+	b[0] = byte(n)
+	b[1] = byte(n >> 8)
+	b[2] = byte(n >> 16)
+	b[3] = byte(n >> 24)
+	e.open--
 }
 
 // Decoder reads a snapshot produced by Encoder. Errors are sticky: after

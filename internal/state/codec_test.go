@@ -1,6 +1,7 @@
 package state
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"os"
@@ -235,5 +236,160 @@ func TestWriteFileAtomic(t *testing.T) {
 	}
 	if len(entries) != 1 {
 		t.Fatalf("directory has %d entries after atomic writes, want 1", len(entries))
+	}
+}
+
+// encodeSpilling writes a synthetic snapshot large enough for an encoder
+// with a sink to spill many times: components of assorted sizes, and
+// nested Mark sections larger than spillThreshold, so spills must wait
+// for the sections to close.
+func encodeSpilling(e *Encoder) {
+	e.Header()
+	payload := make([]float64, 700)
+	for i := range payload {
+		payload[i] = float64(i) * 0.5
+	}
+	for c := 0; c < 400; c++ {
+		e.Begin(TagLogger, 1)
+		e.String("stream")
+		e.F64s(payload[:c%len(payload)])
+		if c%50 == 0 {
+			off := e.Mark()
+			for k := 0; k < 60; k++ {
+				e.Begin(TagCertificate, 1)
+				inner := e.Mark()
+				e.F64s(payload)
+				e.Patch(inner)
+			}
+			e.Patch(off)
+		}
+	}
+	e.Begin(TagFleet, 1)
+	e.U64(42)
+}
+
+// recorder is a sink that keeps every write, so a test can see where an
+// encoder spilled.
+type recorder struct{ writes [][]byte }
+
+func (r *recorder) Write(p []byte) (int, error) {
+	r.writes = append(r.writes, append([]byte(nil), p...))
+	return len(p), nil
+}
+
+// TestEncodeFileMatchesBuffered pins that spilling changes no byte: the
+// spills of an encoder with a sink each write more than spillThreshold
+// bytes (the last excepted) and concatenate to the buffered encoding, and
+// EncodeFile writes that encoding and reports its length.
+func TestEncodeFileMatchesBuffered(t *testing.T) {
+	want := NewEncoder()
+	encodeSpilling(want)
+
+	rec := &recorder{}
+	e := &Encoder{w: rec}
+	encodeSpilling(e)
+	if e.Len() != want.Len() {
+		t.Fatalf("Len = %d, buffered encoder has %d", e.Len(), want.Len())
+	}
+	e.spill()
+	if len(rec.writes) < 5 {
+		t.Fatalf("%d writes for a %d-byte snapshot; the encoder did not spill", len(rec.writes), want.Len())
+	}
+	var got []byte
+	for i, w := range rec.writes {
+		if i < len(rec.writes)-1 && len(w) <= spillThreshold {
+			t.Fatalf("spill %d wrote %d bytes, at most the %d-byte threshold", i, len(w), spillThreshold)
+		}
+		got = append(got, w...)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("spilled bytes differ from the buffered encoding (%d vs %d bytes)", len(got), len(want.Bytes()))
+	}
+
+	path := filepath.Join(t.TempDir(), "fleet.awds")
+	n, err := EncodeFile(path, func(e *Encoder) error {
+		encodeSpilling(e)
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("EncodeFile: %v", err)
+	}
+	got, err = ReadFile(path)
+	if err != nil {
+		t.Fatalf("ReadFile: %v", err)
+	}
+	if n != len(got) || !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("EncodeFile wrote %d bytes (reported %d), buffered encoding is %d and they differ", len(got), n, want.Len())
+	}
+}
+
+// TestSpillWriteError pins that a sink write error is kept for EncodeFile
+// to report, and that the encoder drops the bytes it cannot write instead
+// of buffering the rest of the snapshot.
+func TestSpillWriteError(t *testing.T) {
+	boom := errors.New("disk full")
+	e := &Encoder{w: failWriter{boom}}
+	encodeSpilling(e)
+	e.spill()
+	if !errors.Is(e.err, boom) {
+		t.Fatalf("err = %v, want %v", e.err, boom)
+	}
+	want := NewEncoder()
+	encodeSpilling(want)
+	if e.Len() != want.Len() || len(e.buf) != 0 {
+		t.Fatalf("after a failed sink: Len %d (want %d), %d bytes still buffered", e.Len(), want.Len(), len(e.buf))
+	}
+}
+
+type failWriter struct{ err error }
+
+func (f failWriter) Write([]byte) (int, error) { return 0, f.err }
+
+// TestEncodeFileFailureKeepsPrevious pins the failure path of a streamed
+// checkpoint: an encode that fails after it has spilled into the
+// temporary file returns its error, the previous file is untouched, and
+// no temporary file is left behind.
+func TestEncodeFileFailureKeepsPrevious(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "fleet.awds")
+	if _, err := EncodeFile(path, func(e *Encoder) error {
+		e.Header()
+		e.String("previous")
+		return nil
+	}); err != nil {
+		t.Fatalf("EncodeFile: %v", err)
+	}
+	prev, err := ReadFile(path)
+	if err != nil {
+		t.Fatalf("ReadFile: %v", err)
+	}
+	boom := errors.New("encode failed")
+	_, err = EncodeFile(path, func(e *Encoder) error {
+		encodeSpilling(e)
+		if len(e.Bytes()) == e.Len() {
+			t.Errorf("encoder never spilled (%d bytes buffered)", e.Len())
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("EncodeFile = %v, want %v", err, boom)
+	}
+	got, err := ReadFile(path)
+	if err != nil {
+		t.Fatalf("ReadFile: %v", err)
+	}
+	if !bytes.Equal(got, prev) {
+		t.Fatalf("failed EncodeFile changed the previous checkpoint")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatalf("ReadDir: %v", err)
+	}
+	if len(entries) != 1 {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("directory holds %v after a failed EncodeFile, want only fleet.awds", names)
 	}
 }

@@ -2,6 +2,7 @@ package state
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 )
@@ -12,8 +13,47 @@ import (
 // or the new one, never a torn file. This is the write discipline every
 // checkpoint sink (awdserve, awdfleet -checkpoint-out) goes through.
 func WriteFile(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".awds-*")
+	return writeAtomic(path, func(w io.Writer) error {
+		if _, err := w.Write(data); err != nil {
+			return fmt.Errorf("state: checkpoint write: %w", err)
+		}
+		return nil
+	})
+}
+
+// EncodeFile encodes a snapshot straight into path with WriteFile's
+// atomicity: encode runs against an encoder whose sink is the temporary
+// file, so the buffer spills into the file at component boundaries (see
+// Encoder) and a checkpoint holds about spillThreshold bytes plus its
+// largest Mark section, however large the file grows. The bytes are the
+// ones encode would have produced into NewEncoder. It returns the file's
+// size; if encode or a write fails, path is left as it was and no
+// temporary file remains.
+func EncodeFile(path string, encode func(*Encoder) error) (int, error) {
+	var n int
+	err := writeAtomic(path, func(w io.Writer) error {
+		// Room for the threshold plus the component that crosses it, so
+		// only an open Mark section can grow the buffer.
+		enc := &Encoder{buf: make([]byte, 0, spillThreshold+spillThreshold/4), w: w}
+		if err := encode(enc); err != nil {
+			return err
+		}
+		enc.spill()
+		if enc.err != nil {
+			return fmt.Errorf("state: checkpoint write: %w", enc.err)
+		}
+		n = enc.Len()
+		return nil
+	})
+	return n, err
+}
+
+// writeAtomic is the one temp-file discipline behind WriteFile and
+// EncodeFile: write fills a temporary file in path's directory, which is
+// fsynced and renamed over path. On any error the temporary file is
+// removed and path is untouched.
+func writeAtomic(path string, write func(io.Writer) error) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".awds-*")
 	if err != nil {
 		return fmt.Errorf("state: checkpoint write: %w", err)
 	}
@@ -22,9 +62,9 @@ func WriteFile(path string, data []byte) error {
 		tmp.Close()
 		os.Remove(tmpName)
 	}
-	if _, err := tmp.Write(data); err != nil {
+	if err := write(tmp); err != nil {
 		cleanup()
-		return fmt.Errorf("state: checkpoint write: %w", err)
+		return err
 	}
 	if err := tmp.Sync(); err != nil {
 		cleanup()

@@ -259,6 +259,52 @@ func BenchmarkServeOpen(b *testing.B) {
 	}
 }
 
+// BenchmarkServeCheckpoint measures Server.Checkpoint whole: quiesce,
+// encode the spec section and every stream's state straight into the
+// file, fsync and rename, over warmed adaptive aircraft-pitch streams in
+// a temp dir. BenchmarkFleetSnapshot reuses one encoder across
+// iterations; this row pays what each real checkpoint allocates, so its
+// B/op is the checkpoint's memory cost.
+func BenchmarkServeCheckpoint(b *testing.B) {
+	for _, n := range []int{512} {
+		b.Run(fmt.Sprintf("streams=%d", n), func(b *testing.B) {
+			srv := NewServer(Config{CheckpointDir: b.TempDir(), Workers: 2})
+			defer srv.Close()
+			est, u := benchSample(models.ByName("aircraft-pitch"))
+			handles := make([]uint64, n)
+			items := make([]fleet.BatchItem, n)
+			for i := range handles {
+				h, err := srv.Open("bench", fmt.Sprintf("s-%04d", i), "aircraft-pitch", "adaptive", 0)
+				if err != nil {
+					b.Fatalf("Open(%d): %v", i, err)
+				}
+				handles[i] = h
+				items[i] = fleet.BatchItem{Estimate: est, AppliedU: u}
+			}
+			out := make([]fleet.BatchResult, n)
+			bt := srv.Engine().NewBatcher()
+			for step := 0; step < 3; step++ {
+				if err := srv.IngestBatch(bt, handles, items, out); err != nil {
+					b.Fatalf("IngestBatch: %v", err)
+				}
+			}
+			_, size, err := srv.Checkpoint("bench.awds")
+			if err != nil {
+				b.Fatalf("Checkpoint: %v", err)
+			}
+			b.SetBytes(int64(size))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := srv.Checkpoint("bench.awds"); err != nil {
+					b.Fatalf("Checkpoint: %v", err)
+				}
+			}
+			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "streams/sec")
+		})
+	}
+}
+
 // benchFleet builds a warmed fleet of n adaptive aircraft-pitch streams.
 func benchFleet(b *testing.B, n int) (*fleet.Engine, func(id string) (*core.System, func(core.Decision, error), error)) {
 	b.Helper()

@@ -125,8 +125,8 @@ type Server struct {
 	eng *fleet.Engine
 
 	// ingestMu serializes checkpoint/drain/restore (writers) against
-	// ingest (readers): a checkpoint takes the write side so the spec
-	// registry and the engine snapshot form one consistent cut, while
+	// ingest and Open (readers): a checkpoint takes the write side so the
+	// spec registry and the engine snapshot form one consistent cut, while
 	// steady-state ingests share the read side and never contend with
 	// each other.
 	ingestMu sync.RWMutex
@@ -184,6 +184,11 @@ func (s *Server) Open(tenant, stream, model, strategy string, fixedWin int) (uin
 	}
 	spec := streamSpec{tenant: tenant, stream: stream, model: model, strategy: strat, fixedWin: fixedWin}
 
+	// Registration is a reader of ingestMu like ingest: a checkpoint's
+	// write hold then sees every stream either in both the spec registry
+	// and the engine or in neither.
+	s.ingestMu.RLock()
+	defer s.ingestMu.RUnlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
@@ -260,25 +265,40 @@ func (s *Server) IngestBatch(bt *fleet.Batcher, handles []uint64, items []fleet.
 	return bt.Submit(items, out)
 }
 
-// Checkpoint quiesces ingest and writes the whole fleet — stream specs
-// plus every stream's runtime state — to name (default
-// DefaultCheckpointName) under the checkpoint directory, atomically.
-// It returns the written path and the snapshot size in bytes.
-func (s *Server) Checkpoint(name string) (string, int, error) {
+// checkpointPath resolves a checkpoint name from a client to its file:
+// "" means DefaultCheckpointName, and any other name must be one plain
+// file name in the checkpoint directory — no separators, and neither "."
+// nor "..", which name the directory itself and its parent.
+func (s *Server) checkpointPath(name string) (string, error) {
 	if s.cfg.CheckpointDir == "" {
-		return "", 0, errors.New("wire: server has no checkpoint directory")
+		return "", errors.New("wire: server has no checkpoint directory")
 	}
 	if name == "" {
 		name = DefaultCheckpointName
 	}
-	if name != filepath.Base(name) {
-		return "", 0, fmt.Errorf("wire: checkpoint name %q must not contain path separators", name)
+	if name == "." || name == ".." || name != filepath.Base(name) {
+		return "", fmt.Errorf("wire: checkpoint name %q is not a file name in the checkpoint directory", name)
 	}
+	return filepath.Join(s.cfg.CheckpointDir, name), nil
+}
+
+// Checkpoint quiesces ingest and writes the whole fleet — stream specs
+// plus every stream's runtime state — to name (default
+// DefaultCheckpointName) under the checkpoint directory, atomically.
+// The snapshot streams into the file as it is encoded (state.EncodeFile),
+// so its size does not set the server's memory. It returns the written
+// path and the snapshot size in bytes.
+func (s *Server) Checkpoint(name string) (string, int, error) {
+	path, err := s.checkpointPath(name)
+	if err != nil {
+		return "", 0, err
+	}
+	// Holding ingestMu for the encode and the write is the quiesce barrier
+	// that makes the checkpoint a consistent cut: ingest and Open block,
+	// nothing is mid-decision.
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
 
-	enc := state.NewEncoder()
-	enc.Header()
 	s.mu.Lock()
 	specs := make([]streamSpec, 0, len(s.specs))
 	for _, sp := range s.specs {
@@ -286,24 +306,23 @@ func (s *Server) Checkpoint(name string) (string, int, error) {
 	}
 	s.mu.Unlock()
 	sort.Slice(specs, func(i, j int) bool { return specs[i].id() < specs[j].id() })
-	enc.Begin(state.TagServer, serverStateVersion)
-	enc.U32(uint32(len(specs)))
-	for _, sp := range specs {
-		enc.String(sp.tenant)
-		enc.String(sp.stream)
-		enc.String(sp.model)
-		enc.String(sp.strategy.String())
-		enc.Int(sp.fixedWin)
-	}
-	//awdlint:allow lockflow -- quiesce barrier by design: holding ingestMu for the encode is what makes the checkpoint a consistent cut (ingest blocks, nothing is mid-decision)
-	if err := s.eng.Snapshot(enc); err != nil {
+	n, err := state.EncodeFile(path, func(enc *state.Encoder) error {
+		enc.Header()
+		enc.Begin(state.TagServer, serverStateVersion)
+		enc.U32(uint32(len(specs)))
+		for _, sp := range specs {
+			enc.String(sp.tenant)
+			enc.String(sp.stream)
+			enc.String(sp.model)
+			enc.String(sp.strategy.String())
+			enc.Int(sp.fixedWin)
+		}
+		return s.eng.Snapshot(enc)
+	})
+	if err != nil {
 		return "", 0, err
 	}
-	path := filepath.Join(s.cfg.CheckpointDir, name)
-	if err := state.WriteFile(path, enc.Bytes()); err != nil {
-		return "", 0, err
-	}
-	return path, enc.Len(), nil
+	return path, n, nil
 }
 
 // Drain stops admitting ingest and new streams, waits for in-flight
@@ -325,17 +344,14 @@ func (s *Server) Drain() {
 // stream's detector from its spec and restores the fleet's runtime state,
 // after which reconnecting clients re-attach via idempotent Opens and the
 // decision streams continue bit-identically to the checkpointed fleet.
+// Restore is all-or-nothing: a checkpoint that fails to decode leaves the
+// server empty, ready for Open or another Restore.
 func (s *Server) Restore(name string) (int, error) {
-	if s.cfg.CheckpointDir == "" {
-		return 0, errors.New("wire: server has no checkpoint directory")
+	path, err := s.checkpointPath(name)
+	if err != nil {
+		return 0, err
 	}
-	if name == "" {
-		name = DefaultCheckpointName
-	}
-	if name != filepath.Base(name) {
-		return 0, fmt.Errorf("wire: checkpoint name %q must not contain path separators", name)
-	}
-	blob, err := state.ReadFile(filepath.Join(s.cfg.CheckpointDir, name))
+	blob, err := state.ReadFile(path)
 	if err != nil {
 		return 0, err
 	}
