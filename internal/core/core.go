@@ -382,7 +382,7 @@ func (s *System) PrepareSlide(td int) {
 // StepObserved completes a step split open by ObservePredicted: it runs the
 // decision pipeline on the entry that call returned. A non-negative td
 // injects the adaptive detection deadline computed externally — the fleet
-// engine's batched certificate pass produces it from exactly the state
+// engine's certificate pass produces it from exactly the state
 // DeadlineQueryState reports, with the same MaxDeadline fallback, so the
 // injected value equals what the system's own query would compute and the
 // decision sequence stays bit-identical. td < 0 runs the system's own

@@ -1,7 +1,6 @@
 package deadline
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/geom"
@@ -51,18 +50,25 @@ type Certificate struct {
 	lastPressure float64
 	hasPressure  bool
 
-	// q is FromStateBatch's column-gather scratch (one query state).
-	q mat.Vec
+	// reanchors counts the full scans anchor has run: every query that
+	// missed the certified ball (or found no usable anchor). Telemetry only;
+	// it is not part of the snapshot.
+	reanchors uint64
 }
 
 // NewCertificate returns an unanchored certificate over est. The first
 // FromState call performs a full scan and anchors it.
 func NewCertificate(est *Estimator) *Certificate {
-	return &Certificate{est: est, ref: mat.NewVec(len(est.ref)), q: mat.NewVec(len(est.ref))}
+	return &Certificate{est: est, ref: mat.NewVec(len(est.ref))}
 }
 
 // Estimator returns the wrapped estimator.
 func (c *Certificate) Estimator() *Estimator { return c.est }
+
+// Reanchors returns the number of full scans the certificate has run since
+// it was built: one per query that missed the certified ball. Restore does
+// not reset it.
+func (c *Certificate) Reanchors() uint64 { return c.reanchors }
 
 // FromState returns the detection deadline for the trusted state x0 —
 // always the exact deadline a standalone Estimator.FromState would return.
@@ -86,84 +92,6 @@ func (c *Certificate) FromState(x0 mat.Vec) int {
 		}
 	}
 	return c.anchor(x0)
-}
-
-// FromStateBatch answers k = xb.Len() deadline queries — column s of xb is
-// stream s's trusted state — exactly as k sequential FromState/TakePressure
-// pairs would, but with the anchor distance check vectorized over the whole
-// batch. out[s] receives the deadline; pressure[s] receives the value the
-// paired TakePressure would have returned, or -1 when it would have reported
-// ok == false (the unanchorable dimension-fault case).
-//
-// Bit-identity with the serial pair is structural: each column's squared
-// distance accumulates dimensions in ascending order (FromState's loop), the
-// hit compare is the same d2 <= thr2 on the same values, and a miss anchors
-// that column with the very same full scan — after which the remaining
-// columns' distances are recomputed against the new anchor before the walk
-// resumes, because serial queries after a re-anchor see the new certificate.
-// The certificate's lastPressure/hasPressure state afterwards matches the
-// serial sequence's too, so snapshots taken either side of a batch agree.
-//
-// The in-order walk means a batch is exactly as re-anchor-prone as its
-// serial counterpart: the steady silent state pays one distance sweep for
-// the whole batch, and a drifting stream costs the same full scan it would
-// have cost standalone.
-func (c *Certificate) FromStateBatch(xb *mat.Batch, d2, pressure []float64, out []int) {
-	k := xb.Len()
-	if xb.Dim() != len(c.ref) {
-		//awdlint:allow nopanic -- shape fault: the batch and scratch are sized once at shard construction, same contract as the mat batch kernels
-		panic(fmt.Sprintf("deadline: FromStateBatch state dimension %d, want %d", xb.Dim(), len(c.ref)))
-	}
-	if len(d2) < k || len(pressure) < k || len(out) < k {
-		//awdlint:allow nopanic -- capacity fault: ditto, a mis-sized result slice is a construction bug, not a data condition
-		panic(fmt.Sprintf("deadline: FromStateBatch result capacity %d/%d/%d for %d queries", len(d2), len(pressure), len(out), k))
-	}
-	lo := 0
-	for lo < k {
-		if c.anchored && c.thr2 > 0 {
-			c.dist2(xb, d2, lo, k)
-			for lo < k && d2[lo] <= c.thr2 {
-				p := math.Sqrt(d2[lo] / c.thr2)
-				pressure[lo] = p
-				out[lo] = c.safeSteps
-				// Mirror the serial hit's state writes (TakePressure then
-				// immediately consumes, restored after the loop).
-				c.lastPressure = p
-				lo++
-			}
-			if lo == k {
-				break
-			}
-		}
-		// Column lo missed the anchor ball (or no usable anchor): the same
-		// full-scan re-anchor a standalone FromState would run.
-		xb.ColTo(c.q, lo)
-		out[lo] = c.anchor(c.q)
-		if p, ok := c.TakePressure(); ok {
-			pressure[lo] = p
-		} else {
-			pressure[lo] = -1
-		}
-		lo++
-	}
-	// Every serial query's TakePressure has consumed its value.
-	c.hasPressure = false
-}
-
-// dist2 fills d2[lo:k] with the squared distances of columns [lo, k) of xb
-// from the current anchor, dimensions accumulated in ascending order so each
-// column's sum is bit-identical to FromState's own loop.
-func (c *Certificate) dist2(xb *mat.Batch, d2 []float64, lo, k int) {
-	for s := lo; s < k; s++ {
-		d2[s] = 0
-	}
-	for j, rv := range c.ref {
-		row := xb.Row(j)
-		for s := lo; s < k; s++ {
-			diff := row[s] - rv
-			d2[s] += diff * diff
-		}
-	}
 }
 
 // TakePressure returns and consumes the deadline pressure of the most
@@ -190,6 +118,7 @@ func (c *Certificate) TakePressure() (pressure float64, ok bool) {
 // valid even if the underlying estimator later re-anchors elsewhere.
 func (c *Certificate) anchor(x0 mat.Vec) int {
 	e := c.est
+	c.reanchors++
 	d := e.fullScan(x0)
 	if !e.haveRef {
 		// Dimension fault (impossible for logger-fed states): stay

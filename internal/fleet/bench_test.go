@@ -40,52 +40,80 @@ func benchDetector(b *testing.B) *core.System {
 
 // BenchmarkFleetSteps measures aggregate fleet throughput: one op is one
 // tick of the whole fleet (every stream ingests one sample and has its
-// decision delivered). Samples follow the residual-zero steady state —
-// silent monitoring, the regime a fleet spends its life in — so per-op
-// allocations must be zero.
+// decision delivered). The streams=N rows feed every stream one repeated
+// residual-zero sample, so the shard certificate hits on every query and
+// nothing allocates: they are the silent lower bound on a step's cost, and
+// the rows the flatness gate compares. The input=closed-loop row replays
+// each stream's own closed-loop trace (attacks on one stream in 16 each),
+// the detector's own traffic, on which the shared certificate re-anchors
+// on most queries; its only allocations are the Dims lists of alarmed
+// decisions.
 func BenchmarkFleetSteps(b *testing.B) {
 	m := models.AircraftPitch()
 	for _, streams := range fleetStreamCounts {
 		b.Run(fmt.Sprintf("streams=%d", streams), func(b *testing.B) {
-			eng := New(Config{Workers: runtime.GOMAXPROCS(0)})
-			defer func() {
-				if err := eng.Close(); err != nil {
-					b.Fatalf("Close: %v", err)
-				}
-			}()
-			var wg sync.WaitGroup
-			onDecision := func(core.Decision, error) { wg.Done() }
-			hs := make([]*Stream, streams)
-			for i := range hs {
-				h, err := eng.AddStream(fmt.Sprintf("s%d", i), benchDetector(b), onDecision)
-				if err != nil {
-					b.Fatalf("AddStream: %v", err)
-				}
-				hs[i] = h
+			silent := []mat.Vec{mat.NewVec(m.Sys.StateDim())}
+			zero := []mat.Vec{mat.NewVec(m.Sys.InputDim())}
+			ests, us := make([][]mat.Vec, streams), make([][]mat.Vec, streams)
+			for i := range ests {
+				ests[i], us[i] = silent, zero
 			}
-			est := mat.NewVec(m.Sys.StateDim())
-			u := mat.NewVec(m.Sys.InputDim())
-			tick := func() {
-				wg.Add(streams)
-				for _, h := range hs {
-					if err := h.Post(est, u); err != nil {
-						b.Fatalf("Post: %v", err)
-					}
-				}
-				wg.Wait()
-			}
-			for i := 0; i < benchWarmupTicks; i++ {
-				tick()
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tick()
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)*float64(streams)/b.Elapsed().Seconds(), "steps/sec")
+			benchFleetTicks(b, ests, us)
 		})
 	}
+	b.Run("input=closed-loop,streams=1000", func(b *testing.B) {
+		const streams, steps = 1000, 400
+		ests, us := make([][]mat.Vec, streams), make([][]mat.Vec, streams)
+		for i := range ests {
+			ests[i], us[i] = closedLoopTrace(b, m, 7, fmt.Sprintf("%s-%05d", m.Name, i), i, steps)
+		}
+		benchFleetTicks(b, ests, us)
+	})
+}
+
+// benchFleetTicks runs BenchmarkFleetSteps' ticks over one adaptive
+// aircraft-pitch stream per trace: at tick t, stream i ingests sample
+// t mod len(ests[i]) of its pre-generated trace.
+func benchFleetTicks(b *testing.B, ests, us [][]mat.Vec) {
+	streams := len(ests)
+	eng := New(Config{Workers: runtime.GOMAXPROCS(0)})
+	defer func() {
+		if err := eng.Close(); err != nil {
+			b.Fatalf("Close: %v", err)
+		}
+	}()
+	var wg sync.WaitGroup
+	onDecision := func(core.Decision, error) { wg.Done() }
+	hs := make([]*Stream, streams)
+	for i := range hs {
+		h, err := eng.AddStream(fmt.Sprintf("s%d", i), benchDetector(b), onDecision)
+		if err != nil {
+			b.Fatalf("AddStream: %v", err)
+		}
+		hs[i] = h
+	}
+	t := 0
+	tick := func() {
+		wg.Add(streams)
+		for i, h := range hs {
+			k := t % len(ests[i])
+			if err := h.Post(ests[i][k], us[i][k]); err != nil {
+				b.Fatalf("Post: %v", err)
+			}
+		}
+		wg.Wait()
+		t++
+	}
+	for i := 0; i < benchWarmupTicks; i++ {
+		tick()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tick()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)*float64(streams)/b.Elapsed().Seconds(), "steps/sec")
 }
 
 // benchWarmupTicks precede the measured region in both throughput

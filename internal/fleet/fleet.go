@@ -113,12 +113,13 @@ type Engine struct {
 	runq    *runQueue
 	workers sync.WaitGroup
 
-	mStreams  *obs.Gauge
-	mShards   *obs.Gauge
-	mSteps    *obs.Counter
-	mBatches  *obs.Counter
-	mAlarms   *obs.Counter
-	mPressure *obs.Histogram
+	mStreams   *obs.Gauge
+	mShards    *obs.Gauge
+	mSteps     *obs.Counter
+	mBatches   *obs.Counter
+	mAlarms    *obs.Counter
+	mPressure  *obs.Histogram
+	mReanchors *obs.Counter
 }
 
 // New builds an engine and starts its workers. Callers must Close it to
@@ -152,6 +153,8 @@ func New(cfg Config) *Engine {
 		e.mPressure = reg.Histogram(obs.MetricFleetDeadlinePressure,
 			"per-step fraction of the shard deadline certificate's slack radius consumed by each stream's trusted state",
 			obs.DeadlinePressureBuckets)
+		e.mReanchors = reg.Counter(obs.MetricFleetReanchors,
+			"shard deadline certificate queries that missed the certified ball and ran a full reachability scan")
 		e.runq.depth = reg.Gauge(obs.MetricFleetQueueDepth, "shards waiting on the fleet run queue")
 	}
 	for i := 0; i < cfg.Workers; i++ {
@@ -309,7 +312,6 @@ func (e *Engine) newShard(key string, sys *lti.System) *shard {
 		xb:        mat.NewBatch(n, size),
 		ub:        mat.NewBatch(m, size),
 		pb:        mat.NewBatch(n, size),
-		tb:        mat.NewBatch(n, size),
 		estSlab:   mat.NewVec(size * n),
 		uSlab:     mat.NewVec(size * m),
 		predSlab:  mat.NewVec(size * n),
@@ -317,11 +319,6 @@ func (e *Engine) newShard(key string, sys *lti.System) *shard {
 		errs:      make([]error, size),
 		tds:       make([]int, size),
 		press:     make([]float64, size),
-		x0s:       make([]mat.Vec, 0, size),
-		qidx:      make([]int, 0, size),
-		qd2:       make([]float64, size),
-		qpress:    make([]float64, size),
-		qout:      make([]int, size),
 	}
 	if e.o.Enabled() {
 		reg := e.o.Registry()
@@ -473,12 +470,12 @@ type Stream struct {
 	pred mat.Vec
 
 	// cert is the shard-shared deadline certificate this stream's deadline
-	// queries go through (nil for non-adaptive streams). The worker batches
-	// every stream sharing a certificate into one FromStateBatch call per
-	// step, which also hands back the per-stream deadline pressure the
-	// telemetry attributes to this stream. The certificate is additionally
-	// installed as the detector's deadline source so a stream stepped
-	// outside the batch path (td not injected) queries the same state.
+	// queries go through (nil for non-adaptive streams). The worker's
+	// certificate pass queries it once per step, in batch order, and reads
+	// the pressure the telemetry attributes to this stream right after.
+	// The certificate is also installed as the detector's deadline source,
+	// so a stream stepped outside the batch path (td not injected) queries
+	// the same state through the same FromState.
 	cert *deadline.Certificate
 
 	// tok is the sample token: holding it (the mutex locked) is the right
@@ -600,8 +597,7 @@ type shard struct {
 	// Batch scratch, allocated at shard capacity; only the processing
 	// worker touches it, and the queued flag admits one worker at a time.
 	xb, ub, pb *mat.Batch
-	tb         *mat.Batch // deadline-query gather block
-	pes        []mat.Vec  // gather scratch: per-stream previous estimates
+	pes        []mat.Vec // gather scratch: per-stream previous estimates
 
 	// Per-stream state slabs the Stream hot vectors slice into, and the
 	// arena the Stream structs themselves live in (see AddStream):
@@ -612,23 +608,17 @@ type shard struct {
 	streamArr                []Stream
 
 	// Per-batch phase scratch (indexed by position in the batch): the logged
-	// entry and error of the observe pass, the injected deadline and
-	// pressure of the certificate pass, and the certificate pass's own
-	// gather/result arrays.
+	// entry and error of the observe pass, and the injected deadline and
+	// pressure of the certificate pass.
 	entries []*logger.Entry
 	errs    []error
 	tds     []int
 	press   []float64
-	x0s     []mat.Vec
-	qidx    []int
-	qd2     []float64
-	qpress  []float64
-	qout    []int
 
 	// Shared deadline certificates, one per compatible estimator
 	// configuration among the shard's adaptive streams (appended under
 	// eng.mu at registration; queried only by the shard's processing
-	// worker, which batches each certificate's queries per step).
+	// worker, through each stream's cert).
 	certs []*deadline.Certificate
 
 	batchUS *obs.Histogram // nil when observability is disabled
@@ -676,7 +666,7 @@ func (sh *shard) process() {
 }
 
 // stepBatch runs one batch through the step pipeline one phase at a time —
-// gather, batched prediction, scatter, logging, batched deadline queries,
+// gather, batched prediction, scatter, logging, deadline queries,
 // window-sum slides, decisions — instead of running every phase per stream.
 // Each pass walks one kind of data for the whole batch, so the memory
 // system sees long independent access streams (high memory-level
@@ -686,13 +676,13 @@ func (sh *shard) process() {
 // Bit-identity with serial core.System.Step holds phase by phase: the
 // prediction kernels preserve per-column summation order (see package
 // comment); the observe pass is each stream's own ObservePredicted; the
-// certificate pass issues each certificate's queries in batch order — the
-// same order the per-stream loop queried it — through FromStateBatch, which
-// is exactly that query sequence; the slide pass is decision-neutral by
-// Window.PrepareSlide's contract; and StepObserved with the injected
-// deadline is decide with the query it would have made. Per-stream state
-// (logger ring, estimator warm start, detector windows) lives in each det
-// untouched.
+// certificate pass calls each stream's Certificate.FromState in batch
+// order, which is the query sequence serial stepping issues to every
+// certificate (queries on different certificates never interact); the
+// slide pass is decision-neutral by Window.PrepareSlide's contract; and
+// StepObserved with the injected deadline is decide with the query it
+// would have made. Per-stream state (logger ring, estimator warm start,
+// detector windows) lives in each det untouched.
 func (sh *shard) stepBatch(ss []*Stream) {
 	var start time.Time
 	if sh.eng.o.Enabled() {
@@ -747,44 +737,29 @@ func (sh *shard) stepBatch(ss []*Stream) {
 		entries[i], errs[i] = s.det.ObservePredicted(s.est, s.pred)
 	}
 
-	// Certificate pass: answer every adaptive stream's deadline query, one
-	// FromStateBatch call per shared certificate. tds[i] < 0 means "no
-	// injected deadline" (non-adaptive streams, or an observe error);
-	// press[i] < 0 means no pressure reading.
+	// Certificate pass: answer every adaptive stream's deadline query in
+	// batch order through its shard certificate, exactly the query sequence
+	// serial stepping issues. tds[i] < 0 means "no injected deadline"
+	// (non-adaptive streams, or an observe error); press[i] < 0 means no
+	// pressure reading.
 	tds, press := sh.tds[:k], sh.press[:k]
-	for i := range tds {
+	var reanchors uint64
+	for i, s := range ss {
 		tds[i], press[i] = -1, -1
-	}
-	for _, cert := range sh.certs {
-		x0s, qidx := sh.x0s[:0], sh.qidx[:0]
-		for i, s := range ss {
-			if s.cert != cert || errs[i] != nil {
-				continue
-			}
-			if x0, ok := s.det.DeadlineQueryState(); ok {
-				x0s = append(x0s, x0)
-				qidx = append(qidx, i)
-			} else {
-				// Same fallback decide takes without touching the source.
-				tds[i] = s.det.Estimator().MaxDeadline()
-			}
-		}
-		sh.x0s, sh.qidx = x0s, qidx
-		q := len(qidx)
-		if q == 0 {
+		if s.cert == nil || errs[i] != nil {
 			continue
 		}
-		sh.tb.Resize(q)
-		for j := 0; j < sh.tb.Dim(); j++ {
-			row := sh.tb.Row(j)
-			for qi, x0 := range x0s {
-				row[qi] = x0[j]
-			}
+		x0, ok := s.det.DeadlineQueryState()
+		if !ok {
+			// Same fallback decide takes without touching the source.
+			tds[i] = s.det.Estimator().MaxDeadline()
+			continue
 		}
-		cert.FromStateBatch(sh.tb, sh.qd2[:q], sh.qpress[:q], sh.qout[:q])
-		for qi, i := range qidx {
-			tds[i] = sh.qout[qi]
-			press[i] = sh.qpress[qi]
+		before := s.cert.Reanchors()
+		tds[i] = s.cert.FromState(x0)
+		reanchors += s.cert.Reanchors() - before
+		if p, ok := s.cert.TakePressure(); ok {
+			press[i] = p
 		}
 	}
 
@@ -836,6 +811,9 @@ func (sh *shard) stepBatch(ss []*Stream) {
 		if alarms > 0 {
 			sh.eng.mAlarms.Add(alarms)
 			sh.mAlarms.Add(alarms)
+		}
+		if reanchors > 0 {
+			sh.eng.mReanchors.Add(int64(reanchors))
 		}
 		sh.eng.mBatches.Inc()
 		sh.batchUS.Observe(float64(sh.eng.now().Sub(start)) / float64(time.Microsecond))

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/attack"
 	"repro/internal/core"
 	"repro/internal/mat"
 	"repro/internal/models"
@@ -55,6 +56,39 @@ func synthTrajectory(m *models.Model, seed uint64, steps int) (ests, us []mat.Ve
 		ests[t], us[t] = e, u
 		e.CopyTo(prev)
 		u.CopyTo(prevU)
+	}
+	return ests, us
+}
+
+// closedLoopTrace returns the samples a detector on a closed-loop stream
+// sees: the estimates of a sim.Run trace seeded from StreamSeed(fleetSeed,
+// id), each paired with the input applied over the preceding period (zero
+// for the first). Like the end-to-end benchmark's closed-loop workloads,
+// one stream in 16 each (by idx) runs under the bias, delay and replay
+// attacks.
+func closedLoopTrace(tb testing.TB, m *models.Model, fleetSeed uint64, id string, idx, steps int) (ests, us []mat.Vec) {
+	tb.Helper()
+	var att attack.Attack
+	if name := [16]string{1: "bias", 2: "delay", 3: "replay"}[idx%16]; name != "" {
+		a, err := sim.BuildAttack(m, name)
+		if err != nil {
+			tb.Fatalf("BuildAttack(%s, %s): %v", m.Name, name, err)
+		}
+		att = a
+	}
+	run, err := sim.Run(sim.Config{Model: m, Attack: att, Steps: steps, Seed: StreamSeed(fleetSeed, id)})
+	if err != nil {
+		tb.Fatalf("trace for %s: %v", id, err)
+	}
+	ests = make([]mat.Vec, steps)
+	us = make([]mat.Vec, steps)
+	for k, rec := range run.Records {
+		ests[k] = rec.Estimate
+		if k == 0 {
+			us[k] = mat.NewVec(m.Sys.InputDim())
+		} else {
+			us[k] = run.Records[k-1].Input
+		}
 	}
 	return ests, us
 }

@@ -133,8 +133,9 @@ func TestFleetStreamIDFlowsToSink(t *testing.T) {
 
 // TestFleetSubmitAllocFreeWithMetrics re-pins the zero-alloc contract with
 // a metrics-only observer attached: the per-shard counters, the alarm
-// counters, and the deadline-pressure observation must all ride the hot
-// path without a single heap allocation per stream-step.
+// counters, the deadline-pressure observation and the re-anchor counter
+// must all ride the hot path without a single heap allocation per
+// stream-step.
 func TestFleetSubmitAllocFreeWithMetrics(t *testing.T) {
 	m := models.AircraftPitch()
 	o := obs.NewObserver(obs.NewRegistry(), nil)
@@ -167,8 +168,28 @@ func TestFleetSubmitAllocFreeWithMetrics(t *testing.T) {
 	if avg := testing.AllocsPerRun(200, step); avg != 0 {
 		t.Fatalf("metrics-on Submit allocates %v allocs/op, want 0", avg)
 	}
-	// The metrics actually recorded the run (the observer was not bypassed).
+	// Driven by a bang-bang input, the silent trajectory sweeps the pitch
+	// state back and forth, leaving the certified ball as it goes, so the
+	// re-anchor counter moves inside these runs.
 	reg := o.Registry()
+	reanchors := reg.Counter(obs.MetricFleetReanchors, "")
+	before := reanchors.Value()
+	i := 0
+	sweep := func() {
+		i++
+		u[0] = 7
+		if i%20 >= 10 {
+			u[0] = -7
+		}
+		step()
+	}
+	if avg := testing.AllocsPerRun(200, sweep); avg != 0 {
+		t.Fatalf("metrics-on re-anchoring Submit allocates %v allocs/op, want 0", avg)
+	}
+	if got := reanchors.Value() - before; got < 100 {
+		t.Errorf("re-anchor counter recorded %d re-anchors over 200 sweeping steps, want at least 100", got)
+	}
+	// The metrics actually recorded the run (the observer was not bypassed).
 	if reg.Counter(obs.MetricFleetSteps, "").Value() < 500 {
 		t.Error("fleet step counter did not record the run")
 	}

@@ -17,6 +17,7 @@ const (
 	MetricFleetAlarms           = "awd_fleet_alarms_total"
 	MetricFleetQueueDepth       = "awd_fleet_runq_depth"
 	MetricFleetDeadlinePressure = "awd_fleet_deadline_pressure"
+	MetricFleetReanchors        = "awd_fleet_deadline_reanchors_total"
 	MetricFleetShardBatchUS     = "awd_fleet_shard_batch_us"     // prefix; see FleetShardMetric
 	MetricFleetShardSteps       = "awd_fleet_shard_steps_total"  // prefix; see FleetShardMetric
 	MetricFleetShardAlarms      = "awd_fleet_shard_alarms_total" // prefix; see FleetShardMetric
