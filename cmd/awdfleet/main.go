@@ -117,8 +117,8 @@ func main() {
 	// events flow to the /stream tail and -trace-out sink.
 	if *restoreFrom != "" {
 		// Warm start: rebuild every stream recorded in the snapshot (same
-		// model and strategy as a cold run) and restore its runtime state —
-		// ring, window sums, deadline anchors — through the shared codec.
+		// model and strategy as a cold run) and restore its decision state —
+		// ring, window sums, step counts — through the shared codec.
 		blob, err := state.ReadFile(*restoreFrom)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "awdfleet:", err)

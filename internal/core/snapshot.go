@@ -7,17 +7,20 @@ import (
 )
 
 // systemStateVersion is the component version of core.System's snapshot
-// layout (see internal/state for the versioning rules).
-const systemStateVersion = 1
+// layout (see internal/state for the versioning rules). Version 2 dropped
+// the adaptive mode's deadline estimator section.
+const systemStateVersion = 2
 
-// Snapshot encodes the system's complete runtime state: the detection
-// strategy tag (for structural validation), the logger ring, the active
-// detector's state, and — for adaptive systems — the deadline estimator's
-// warm-start certificate. Configuration (plant matrices, thresholds,
-// windows, safe set) is deliberately not serialized: a snapshot restores
-// into a freshly constructed System built from the same Config, and every
+// Snapshot encodes the system's decision state: the detection strategy
+// tag (for structural validation), the logger ring, and the active
+// detector's state. Configuration (plant matrices, thresholds, windows,
+// safe set) is deliberately not serialized: a snapshot restores into a
+// freshly constructed System built from the same Config, and every
 // component validates its structural parameters against the receiver so a
-// config drift surfaces as an error instead of silent corruption.
+// config drift surfaces as an error instead of silent corruption. Neither
+// is the deadline estimator's warm start: no decision reads it (DESIGN.md
+// §7), so a restored system starts cold and its first adaptive query runs
+// one full scan.
 //
 // Snapshot must only be called while the system is quiescent (no Step in
 // flight); the fleet engine guarantees this by holding every stream's
@@ -29,7 +32,6 @@ func (s *System) Snapshot(enc *state.Encoder) {
 	switch s.mode {
 	case modeAdaptive:
 		s.adaptive.Snapshot(enc)
-		s.est.Snapshot(enc)
 	case modeFixed:
 		s.fixed.Snapshot(enc)
 	case modeCUSUM:
@@ -63,10 +65,7 @@ func (s *System) Restore(dec *state.Decoder) error {
 	}
 	switch s.mode {
 	case modeAdaptive:
-		if err := s.adaptive.Restore(dec); err != nil {
-			return err
-		}
-		return s.est.Restore(dec)
+		return s.adaptive.Restore(dec)
 	case modeFixed:
 		return s.fixed.Restore(dec)
 	case modeCUSUM:

@@ -51,8 +51,7 @@ type Certificate struct {
 	hasPressure  bool
 
 	// reanchors counts the full scans anchor has run: every query that
-	// missed the certified ball (or found no usable anchor). Telemetry only;
-	// it is not part of the snapshot.
+	// missed the certified ball (or found no usable anchor). Telemetry only.
 	reanchors uint64
 }
 
@@ -66,8 +65,7 @@ func NewCertificate(est *Estimator) *Certificate {
 func (c *Certificate) Estimator() *Estimator { return c.est }
 
 // Reanchors returns the number of full scans the certificate has run since
-// it was built: one per query that missed the certified ball. Restore does
-// not reset it.
+// it was built: one per query that missed the certified ball.
 func (c *Certificate) Reanchors() uint64 { return c.reanchors }
 
 // FromState returns the detection deadline for the trusted state x0 —

@@ -9,8 +9,9 @@ import (
 )
 
 // fleetStateVersion is the component version of the engine's snapshot
-// layout (see internal/state for the versioning rules).
-const fleetStateVersion = 1
+// layout (see internal/state for the versioning rules). Version 2 dropped
+// the shard certificate section.
+const fleetStateVersion = 2
 
 // MakeStream constructs the detector and decision callback for a stream ID
 // found in a snapshot. Engine.Restore calls it once per recorded stream;
@@ -22,11 +23,12 @@ const fleetStateVersion = 1
 // engine's registration lock held, so it must not call into the engine.
 type MakeStream func(id string) (*core.System, func(core.Decision, error), error)
 
-// Snapshot encodes the complete runtime state of every registered stream,
-// plus the shard-shared deadline certificates, as one deterministic blob:
-// streams are written in ascending ID order regardless of registration or
-// scheduling history, so two engines in equal states produce byte-equal
-// snapshots.
+// Snapshot encodes the decision state of every registered stream as one
+// deterministic blob: streams are written in ascending ID order regardless
+// of registration or scheduling history, and the shard-shared deadline
+// certificates are left out (no decision reads them, DESIGN.md §10), so
+// the bytes are a function of the samples each stream has ingested —
+// independent of shard layout, batch formation and worker count.
 //
 // Snapshot quiesces the fleet itself: it acquires every stream's sample
 // token before encoding and releases them after, so each stream's state is
@@ -64,47 +66,14 @@ func (e *Engine) Snapshot(enc *state.Encoder) error {
 		//awdlint:allow lockflow -- encoding under e.mu and the stream tokens IS the consistency cut: the quiesce makes the snapshot a between-decisions capture of the whole fleet
 		s.det.Snapshot(enc)
 	}
-	// Shard-shared certificates ride in a skippable section keyed by stream
-	// ID, not by shard: shard formation depends on registration order and
-	// ShardSize, which a restoring engine may legitimately reproduce
-	// differently. Every stream writes its shared certificate's state (the
-	// streams sharing one cert write identical bytes), and the restore side
-	// applies each entry through the stream's own certificate — whose
-	// estimator is CompatibleWith the stream's, exactly the premise that
-	// made the recorded anchor valid. An entry that cannot be applied is
-	// skipped and that certificate starts cold, costing one re-anchor scan
-	// and nothing else: a certificate anchor is a performance accelerator
-	// whose hit path returns the exact full-scan deadline whenever the
-	// anchor is premise-valid, which the per-stream keying guarantees.
-	off := enc.Mark()
-	var ncerts uint32
-	for _, s := range streams {
-		if s.cert != nil {
-			ncerts++
-		}
-	}
-	enc.U32(ncerts)
-	for _, s := range streams {
-		if s.cert == nil {
-			continue
-		}
-		entry := enc.Mark()
-		enc.String(s.id)
-		//awdlint:allow lockflow -- same consistency cut as the stream encode above; certificates are shard-shared, so they too must be captured inside the quiesce
-		s.cert.Snapshot(enc)
-		enc.Patch(entry)
-	}
-	enc.Patch(off)
 	return nil
 }
 
 // Restore rebuilds a fleet from a snapshot into an empty engine: for each
 // recorded stream it asks make for a freshly constructed detector,
 // registers it (in snapshot order, so shard formation is deterministic),
-// and then restores the stream's runtime state into it. When the resulting
-// shard structure matches the snapshot's, the shared deadline certificates
-// are restored too; otherwise they are skipped and re-anchor lazily (see
-// Snapshot).
+// and then restores the stream's runtime state into it. The shard
+// certificates start cold: each one's first query runs a full scan.
 //
 // Restore must run before any ingest; it fails on an engine that already
 // has streams. It holds the registration lock throughout, so no caller
@@ -152,32 +121,5 @@ func (e *Engine) Restore(dec *state.Decoder, make MakeStream) (err error) {
 		}
 		h.steps = steps
 	}
-	// Certificates: apply each per-stream entry through that stream's own
-	// certificate, or skip it cleanly (see Snapshot for why skipping is
-	// always safe).
-	end := dec.SectionEnd()
-	ncerts := dec.U32()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	for i := uint32(0); i < ncerts; i++ {
-		entryEnd := dec.SectionEnd()
-		id := dec.String()
-		if err := dec.Err(); err != nil {
-			return err
-		}
-		if s := e.streams[id]; s != nil && s.cert != nil {
-			//awdlint:allow lockflow -- same registration write hold as the stream restore above
-			if err := s.cert.Restore(dec); err != nil {
-				if dec.Err() != nil {
-					return err // snapshot bytes are corrupt, not just mismatched
-				}
-				// Premise validation failed (config drift in make): leave
-				// this certificate cold.
-			}
-		}
-		dec.SkipTo(entryEnd)
-	}
-	dec.SkipTo(end)
 	return dec.Err()
 }

@@ -180,58 +180,114 @@ func TestRestoreMatchesNeverCrashed(t *testing.T) {
 }
 
 // TestSnapshotDeterministic pins the codec promise that equal fleet states
-// encode to equal bytes: two engines built and driven identically produce
-// byte-identical snapshots, and a snapshot does not disturb the stream
-// (decisions after it match a run that never snapshotted).
+// encode to equal bytes, whatever the engine's layout: 64 aircraft-pitch
+// streams replay their closed-loop traces through six engines that differ
+// in shard size (8, 64, auto), batch chunk, worker count and ingest path
+// (Engine.Submit one sample at a time, or one Batcher wave per step), and
+// every engine must write the same bytes mid-run and at the end. A
+// snapshot must not disturb the streams either: every engine's decisions
+// match an engine that never snapshotted.
 func TestSnapshotDeterministic(t *testing.T) {
-	const steps = 40
-	m := models.VehicleTurning()
-	ests, us := attackedTrajectory(t, m, "delay", StreamSeed(5, "det"), steps)
+	const n, steps = 64, 80
+	m := models.AircraftPitch()
+	ids := make([]string, n)
+	ests := make([][]mat.Vec, n)
+	us := make([][]mat.Vec, n)
+	for k := range ids {
+		ids[k] = fmt.Sprintf("s-%03d", k)
+		ests[k], us[k] = closedLoopTrace(t, m, 11, ids[k], k, steps)
+	}
 
-	run := func(snapshotAt int) ([]byte, []core.Decision) {
-		eng := New(Config{Workers: 1, ShardSize: 2})
+	type engineCase struct {
+		cfg     Config
+		batcher bool
+	}
+	// run feeds every step to a fresh engine; with snap set it snapshots
+	// the engine half-way and at the end.
+	run := func(ec engineCase, snap bool) (blobs [][]byte, got []core.Decision) {
+		eng := New(ec.cfg)
 		defer func() {
 			if err := eng.Close(); err != nil {
 				t.Fatalf("Close: %v", err)
 			}
 		}()
-		ids := []string{"s-a", "s-b", "s-c"}
-		for _, id := range ids {
-			if _, err := eng.AddStream(id, newDetector(t, m, sim.Adaptive), nil); err != nil {
+		items := make([]BatchItem, n)
+		out := make([]BatchResult, n)
+		for k, id := range ids {
+			s, err := eng.AddStream(id, newDetector(t, m, sim.Adaptive), nil)
+			if err != nil {
 				t.Fatalf("AddStream(%s): %v", id, err)
 			}
+			items[k].Stream = s
 		}
-		var blob []byte
-		var got []core.Decision
 		for i := 0; i < steps; i++ {
-			if i == snapshotAt {
-				blob = engineSnapshot(t, eng)
+			if snap && i == steps/2 {
+				blobs = append(blobs, engineSnapshot(t, eng))
 			}
-			for _, id := range ids {
-				d, err := eng.Submit(id, ests[i], us[i])
+			if ec.batcher {
+				for k := range items {
+					items[k].Estimate, items[k].AppliedU = ests[k][i], us[k][i]
+				}
+				if err := eng.NewBatcher().Submit(items, out); err != nil {
+					t.Fatalf("%+v: Batcher.Submit(step %d): %v", ec, i, err)
+				}
+				for k, r := range out {
+					if r.Err != nil {
+						t.Fatalf("%+v: step %d stream %s: %v", ec, i, ids[k], r.Err)
+					}
+					got = append(got, r.Decision)
+				}
+				continue
+			}
+			for k, id := range ids {
+				d, err := eng.Submit(id, ests[k][i], us[k][i])
 				if err != nil {
-					t.Fatalf("Submit(%s, %d): %v", id, i, err)
+					t.Fatalf("%+v: Submit(%s, %d): %v", ec, id, i, err)
 				}
 				got = append(got, d)
 			}
 		}
-		return blob, got
+		if snap {
+			blobs = append(blobs, engineSnapshot(t, eng))
+		}
+		return blobs, got
 	}
 
-	blob1, dec1 := run(steps / 2)
-	blob2, dec2 := run(steps / 2)
-	_, decNone := run(-1)
-	if !bytes.Equal(blob1, blob2) {
-		t.Fatalf("identical runs produced different snapshots (%d vs %d bytes)", len(blob1), len(blob2))
+	engines := []engineCase{
+		{Config{Workers: 1, ShardSize: 8, MaxBatch: 4}, false},
+		{Config{Workers: 2, ShardSize: 64, MaxBatch: 64}, false},
+		{Config{Workers: 2}, true},
+		{Config{Workers: 2, ShardSize: 8, MaxBatch: 4}, true},
+		{Config{Workers: 1, ShardSize: 64, MaxBatch: 4}, true},
+		{Config{Workers: 1, MaxBatch: 64}, false},
 	}
-	for i := range dec1 {
-		if !decisionsEqual(dec1[i], decNone[i]) {
-			t.Fatalf("decision %d disturbed by mid-run snapshot: %+v != %+v", i, dec1[i], decNone[i])
+	_, decNone := run(engines[0], false)
+	var want [][]byte
+	for _, ec := range engines {
+		blobs, decs := run(ec, true)
+		for i := range decs {
+			if !decisionsEqual(decs[i], decNone[i]) {
+				t.Fatalf("%+v: decision %d disturbed by the snapshots: %+v != %+v", ec, i, decs[i], decNone[i])
+			}
 		}
-		if !decisionsEqual(dec1[i], dec2[i]) {
-			t.Fatalf("decision %d differs between identical runs", i)
+		if want == nil {
+			want = blobs
+			continue
+		}
+		for j, blob := range blobs {
+			if !bytes.Equal(blob, want[j]) {
+				diff := 0
+				for i := range min(len(blob), len(want[j])) {
+					if blob[i] != want[j][i] {
+						diff++
+					}
+				}
+				t.Errorf("%+v: snapshot %d differs from %+v's in %d of %d bytes (%d vs %d bytes)",
+					ec, j, engines[0], diff, len(want[j]), len(blob), len(want[j]))
+			}
 		}
 	}
+	t.Logf("%d engines wrote %d- and %d-byte snapshots", len(engines), len(want[0]), len(want[1]))
 }
 
 // TestRestoreValidation covers the refusal paths: restoring into a non-

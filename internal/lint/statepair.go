@@ -22,10 +22,9 @@ const statePkgPath = "repro/internal/state"
 //  2. Every state.Tag* section constant is used by exactly one
 //     Encoder.Begin / Decoder.Expect pair. Two Begins on one tag mean two
 //     components claim the same section — the decode side will validate
-//     whichever got encoded and silently answer for the wrong component,
-//     which is exactly how a restored deadline anchor ends up vouching for
-//     the wrong plant. The tag argument must be a state.Tag* constant, not
-//     a literal, so this pairing stays statically checkable.
+//     whichever got encoded and silently answer for the wrong component.
+//     The tag argument must be a state.Tag* constant, not a literal, so
+//     this pairing stays statically checkable.
 //
 // Methods named Snapshot/Restore that do not take the codec types (the obs
 // registry's read-side Snapshot, the wire client's Restore(name)) are not

@@ -230,15 +230,17 @@ func TestPredictBatchToBitIdenticalToPredictTo(t *testing.T) {
 	x := mat.NewVec(sys.StateDim())
 	u := mat.NewVec(sys.InputDim())
 	want := mat.NewVec(sys.StateDim())
-	got := mat.NewVec(sys.StateDim())
 	for s := 0; s < n; s++ {
-		xb.ColTo(x, s)
-		ub.ColTo(u, s)
+		for j := range x {
+			x[j] = xb.At(j, s)
+		}
+		for j := range u {
+			u[j] = ub.At(j, s)
+		}
 		sys.PredictTo(want, x, u)
-		pb.ColTo(got, s)
 		for j := range want {
-			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-				t.Fatalf("col %d dim %d: batch %v != serial %v", s, j, got[j], want[j])
+			if got := pb.At(j, s); math.Float64bits(got) != math.Float64bits(want[j]) {
+				t.Fatalf("col %d dim %d: batch %v != serial %v", s, j, got, want[j])
 			}
 		}
 	}

@@ -106,29 +106,6 @@ func (b *Batch) SetCol(s int, v Vec) {
 	}
 }
 
-// ColTo gathers column s (vector s of the block) into dst.
-func (b *Batch) ColTo(dst Vec, s int) {
-	if len(dst) != b.dim {
-		panic(fmt.Sprintf("mat: Batch ColTo dimension %d, want %d", len(dst), b.dim))
-	}
-	if s < 0 || s >= b.n {
-		panic(fmt.Sprintf("mat: Batch column %d out of range for %d vectors", s, b.n))
-	}
-	for j := range dst {
-		dst[j] = b.data[j*b.n+s]
-	}
-}
-
-// ZeroCol clears column s.
-func (b *Batch) ZeroCol(s int) {
-	if s < 0 || s >= b.n {
-		panic(fmt.Sprintf("mat: Batch column %d out of range for %d vectors", s, b.n))
-	}
-	for j := 0; j < b.dim; j++ {
-		b.data[j*b.n+s] = 0
-	}
-}
-
 // checkMulShapes validates one batch-kernel call site; op names the kernel
 // in the panic message. Shape and aliasing faults are programmer errors
 // caught at construction time by every caller in this repo.

@@ -6,6 +6,15 @@ import (
 	"testing"
 )
 
+// col reads vector s of b through At.
+func col(b *Batch, s int) Vec {
+	v := NewVec(b.Dim())
+	for j := range v {
+		v[j] = b.At(j, s)
+	}
+	return v
+}
+
 func randDense(rng *rand.Rand, rows, cols int) *Dense {
 	m := NewDense(rows, cols)
 	for i := 0; i < rows; i++ {
@@ -27,22 +36,13 @@ func TestBatchAccessors(t *testing.T) {
 	}
 	v := VecOf(1, 2, 3)
 	b.SetCol(3, v)
-	got := NewVec(3)
-	b.ColTo(got, 3)
 	for i := range v {
-		if got[i] != v[i] {
-			t.Errorf("ColTo[%d] = %v, want %v", i, got[i], v[i])
+		if got := b.At(i, 3); got != v[i] {
+			t.Errorf("after SetCol, At(%d,3) = %v, want %v", i, got, v[i])
 		}
 	}
 	if b.Row(1)[3] != 2 {
 		t.Errorf("Row(1)[3] = %v", b.Row(1)[3])
-	}
-	b.ZeroCol(3)
-	b.ColTo(got, 3)
-	for i := range got {
-		if got[i] != 0 {
-			t.Errorf("after ZeroCol, col[%d] = %v", i, got[i])
-		}
 	}
 }
 
@@ -63,11 +63,10 @@ func TestMulBatchToBitIdentical(t *testing.T) {
 			dst := NewBatch(dim, n)
 			m.MulBatchTo(dst, x)
 
-			xs, want, got := NewVec(dim), NewVec(dim), NewVec(dim)
+			want := NewVec(dim)
 			for s := 0; s < n; s++ {
-				x.ColTo(xs, s)
-				m.MulVecTo(want, xs)
-				dst.ColTo(got, s)
+				m.MulVecTo(want, col(x, s))
+				got := col(dst, s)
 				for j := range want {
 					if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
 						t.Fatalf("dim=%d n=%d col %d row %d: batch %v != serial %v", dim, n, s, j, got[j], want[j])
@@ -104,11 +103,9 @@ func TestMulBatchAddToBitIdentical(t *testing.T) {
 			}
 			m.MulBatchAddTo(dst, x)
 
-			xs, got := NewVec(cols), NewVec(rows)
 			for s := 0; s < n; s++ {
-				x.ColTo(xs, s)
-				m.MulVecAddTo(serial[s], xs)
-				dst.ColTo(got, s)
+				m.MulVecAddTo(serial[s], col(x, s))
+				got := col(dst, s)
 				for i := range got {
 					if math.Float64bits(got[i]) != math.Float64bits(serial[s][i]) {
 						t.Fatalf("%dx%d n=%d col %d row %d: batch %v != serial %v", rows, cols, n, s, i, got[i], serial[s][i])
@@ -128,11 +125,10 @@ func TestMulBatchToNonFinite(t *testing.T) {
 	x.SetCol(1, VecOf(math.NaN(), -1))
 	dst := NewBatch(2, 2)
 	m.MulBatchTo(dst, x)
-	xs, want, got := NewVec(2), NewVec(2), NewVec(2)
+	want := NewVec(2)
 	for s := 0; s < 2; s++ {
-		x.ColTo(xs, s)
-		m.MulVecTo(want, xs)
-		dst.ColTo(got, s)
+		m.MulVecTo(want, col(x, s))
+		got := col(dst, s)
 		for j := range want {
 			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
 				t.Fatalf("col %d row %d: batch %x != serial %x", s, j, math.Float64bits(got[j]), math.Float64bits(want[j]))

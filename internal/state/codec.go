@@ -1,8 +1,10 @@
 // Package state is the serialization layer of the detection pipeline: a
-// versioned, deterministic binary codec that every stateful component —
-// the logger ring, the detectors' window sums, the deadline estimator's
-// warm-start certificate, the assembled core.System, and whole fleet
-// engines — encodes itself through via an explicit Snapshot/Restore pair.
+// versioned, deterministic binary codec that every component holding
+// decision state — the logger ring, the detectors' window sums, the
+// assembled core.System, and whole fleet engines — encodes itself through
+// via an explicit Snapshot/Restore pair. Structures no decision reads (the
+// deadline warm start and shard certificates) are rebuilt after a
+// restore, never serialized.
 //
 // The codec is deliberately primitive: fixed little-endian integer widths,
 // IEEE-754 bit patterns for floats, length-prefixed strings and slices, no
@@ -42,22 +44,24 @@ import (
 const Magic = "AWDS"
 
 // Version is the container format version written by Encoder.Header.
-const Version = 1
+// Version 2 removed the deadline estimator and certificate components;
+// Header refuses version 1 files.
+const Version = 2
 
 // Component tags. One byte each; tags are part of the wire format and must
-// never be reused for a different component.
+// never be reused for a different component. 'D' (deadline estimator) and
+// 'K' (shard certificate) are retired with container version 1: never
+// reuse them.
 const (
-	TagLogger      = 'L'
-	TagWindow      = 'W'
-	TagAdaptive    = 'A'
-	TagFixed       = 'F'
-	TagCUSUM       = 'C'
-	TagEWMA        = 'E'
-	TagEstimator   = 'D'
-	TagCertificate = 'K'
-	TagSystem      = 'S'
-	TagFleet       = 'Z'
-	TagServer      = 'V'
+	TagLogger   = 'L'
+	TagWindow   = 'W'
+	TagAdaptive = 'A'
+	TagFixed    = 'F'
+	TagCUSUM    = 'C'
+	TagEWMA     = 'E'
+	TagSystem   = 'S'
+	TagFleet    = 'Z'
+	TagServer   = 'V'
 )
 
 // ErrTruncated reports a read past the end of the snapshot buffer.
@@ -74,14 +78,13 @@ const spillThreshold = 256 << 10
 // needed), so component Snapshot methods need no error plumbing.
 //
 // An encoder made by EncodeFile also has a sink: at each Begin, once more
-// than spillThreshold bytes are buffered and no Mark section is open, it
-// writes the buffer to the sink and reuses it. A sink write error is
-// kept and reported by EncodeFile; the component code never sees it.
+// than spillThreshold bytes are buffered, it writes the buffer to the
+// sink and reuses it. A sink write error is kept and reported by
+// EncodeFile; the component code never sees it.
 type Encoder struct {
 	buf     []byte
 	w       io.Writer // sink for spilled bytes; nil keeps every byte in buf
 	spilled int       // bytes already written to w
-	open    int       // Mark sections not yet Patched
 	err     error     // first write error from w
 }
 
@@ -111,9 +114,9 @@ func (e *Encoder) Header() {
 
 // Begin writes a component header: its tag byte and component version.
 // A component boundary is where an encoder with a sink spills: every byte
-// before it is final unless a Mark section is still open.
+// before it is final.
 func (e *Encoder) Begin(tag byte, version uint8) {
-	if e.w != nil && e.open == 0 && len(e.buf) > spillThreshold {
+	if e.w != nil && len(e.buf) > spillThreshold {
 		e.spill()
 	}
 	e.buf = append(e.buf, tag, version)
@@ -182,36 +185,6 @@ func (e *Encoder) F64s(v []float64) {
 func (e *Encoder) String(s string) {
 	e.U32(uint32(len(s)))
 	e.buf = append(e.buf, s...)
-}
-
-// Bytes32 appends a length-prefixed byte slice.
-func (e *Encoder) Bytes32(b []byte) {
-	e.U32(uint32(len(b)))
-	e.buf = append(e.buf, b...)
-}
-
-// Mark reserves a u32 length slot and returns its offset; pair with Patch
-// to frame a section whose byte length is only known after encoding it —
-// readers can then skip the section wholesale (Decoder.SectionEnd). An
-// open section stays in the buffer until its Patch, so the section is
-// what an encoder with a sink holds beyond spillThreshold.
-func (e *Encoder) Mark() int {
-	off := e.Len()
-	e.open++
-	e.U32(0)
-	return off
-}
-
-// Patch writes the number of bytes encoded since Mark into the reserved
-// slot at off and closes the section.
-func (e *Encoder) Patch(off int) {
-	n := uint32(e.Len() - off - 4)
-	b := e.buf[off-e.spilled:]
-	b[0] = byte(n)
-	b[1] = byte(n >> 8)
-	b[2] = byte(n >> 16)
-	b[3] = byte(n >> 24)
-	e.open--
 }
 
 // Decoder reads a snapshot produced by Encoder. Errors are sticky: after
@@ -394,34 +367,6 @@ func (d *Decoder) String() string {
 	s := string(d.buf[d.off : d.off+int(n)])
 	d.off += int(n)
 	return s
-}
-
-// Bytes32 reads a length-prefixed byte slice (copied out of the buffer).
-func (d *Decoder) Bytes32() []byte {
-	n := d.U32()
-	if d.err != nil || !d.need(int(n)) {
-		return nil
-	}
-	b := make([]byte, n)
-	copy(b, d.buf[d.off:])
-	d.off += int(n)
-	return b
-}
-
-// SectionEnd reads a Mark/Patch length prefix and returns the absolute
-// offset of the section's end, so a reader that cannot interpret the
-// section can SkipTo past it.
-func (d *Decoder) SectionEnd() int {
-	n := d.U32()
-	if d.err != nil {
-		return d.off
-	}
-	end := d.off + int(n)
-	if end > len(d.buf) {
-		d.fail(ErrTruncated)
-		return d.off
-	}
-	return end
 }
 
 // SkipTo advances the read position to off (which must not move backward

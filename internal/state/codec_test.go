@@ -3,9 +3,11 @@ package state
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -26,7 +28,6 @@ func TestRoundTripPrimitives(t *testing.T) {
 	e.F64(math.Inf(-1))
 	e.F64s([]float64{1.5, -2.25, 0})
 	e.String("tenant/stream-0001")
-	e.Bytes32([]byte{0, 1, 2})
 
 	d := NewDecoder(e.Bytes())
 	if err := d.Header(); err != nil {
@@ -72,10 +73,6 @@ func TestRoundTripPrimitives(t *testing.T) {
 	}
 	if got := d.String(); got != "tenant/stream-0001" {
 		t.Fatalf("String = %q", got)
-	}
-	b := d.Bytes32()
-	if len(b) != 3 || b[0] != 0 || b[2] != 2 {
-		t.Fatalf("Bytes32 = %v", b)
 	}
 	if err := d.Err(); err != nil {
 		t.Fatalf("Err = %v", err)
@@ -135,12 +132,15 @@ func TestHeaderRejections(t *testing.T) {
 	if err := d.Header(); err == nil {
 		t.Fatalf("bad magic accepted")
 	}
-	e := NewEncoder()
-	e.buf = append(e.buf, Magic...)
-	e.U16(99)
-	d = NewDecoder(e.Bytes())
-	if err := d.Header(); err == nil {
-		t.Fatalf("future container version accepted")
+	for _, v := range []uint16{99, Version - 1} {
+		e := NewEncoder()
+		e.buf = append(e.buf, Magic...)
+		e.U16(v)
+		d = NewDecoder(e.Bytes())
+		err := d.Header()
+		if want := fmt.Sprintf("unsupported container version %d (have %d)", v, Version); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("container version %d: Header = %v, want an error containing %q", v, err, want)
+		}
 	}
 }
 
@@ -184,32 +184,36 @@ func TestOversizedStringRejected(t *testing.T) {
 	}
 }
 
-func TestSectionSkip(t *testing.T) {
+// TestSkipTo pins the decoder's one skip primitive: a forward target
+// lands the read position there, and a target behind the read position
+// or past the end of the buffer poisons the decoder.
+func TestSkipTo(t *testing.T) {
 	e := NewEncoder()
-	off := e.Mark()
-	e.String("section payload a skipping reader never parses")
 	e.F64s([]float64{1, 2, 3})
-	e.Patch(off)
 	e.String("after")
 
 	d := NewDecoder(e.Bytes())
-	end := d.SectionEnd()
-	d.SkipTo(end)
+	d.SkipTo(4 + 3*8)
 	if got := d.String(); got != "after" {
 		t.Fatalf("after skip: %q", got)
 	}
 	if err := d.Err(); err != nil {
 		t.Fatalf("Err = %v", err)
 	}
-}
 
-func TestSectionEndTruncated(t *testing.T) {
-	e := NewEncoder()
-	e.U32(1000) // claims 1000 bytes that are not there
-	d := NewDecoder(e.Bytes())
-	d.SectionEnd()
-	if !errors.Is(d.Err(), ErrTruncated) {
-		t.Fatalf("Err = %v, want ErrTruncated", d.Err())
+	for _, tc := range []struct {
+		name     string
+		at, skip int
+	}{{"backward", 8, 4}, {"past the end", 0, len(e.Bytes()) + 1}} {
+		d := NewDecoder(e.Bytes())
+		d.SkipTo(tc.at)
+		if d.Err() != nil {
+			t.Fatalf("%s: SkipTo(%d) = %v", tc.name, tc.at, d.Err())
+		}
+		d.SkipTo(tc.skip)
+		if d.Err() == nil || d.Offset() != tc.at {
+			t.Fatalf("%s: SkipTo(%d) from %d left offset %d, err %v; want a poisoned decoder", tc.name, tc.skip, tc.at, d.Offset(), d.Err())
+		}
 	}
 }
 
@@ -240,29 +244,17 @@ func TestWriteFileAtomic(t *testing.T) {
 }
 
 // encodeSpilling writes a synthetic snapshot large enough for an encoder
-// with a sink to spill many times: components of assorted sizes, and
-// nested Mark sections larger than spillThreshold, so spills must wait
-// for the sections to close.
+// with a sink to spill many times: components of assorted sizes.
 func encodeSpilling(e *Encoder) {
 	e.Header()
 	payload := make([]float64, 700)
 	for i := range payload {
 		payload[i] = float64(i) * 0.5
 	}
-	for c := 0; c < 400; c++ {
+	for c := 0; c < 1200; c++ {
 		e.Begin(TagLogger, 1)
 		e.String("stream")
 		e.F64s(payload[:c%len(payload)])
-		if c%50 == 0 {
-			off := e.Mark()
-			for k := 0; k < 60; k++ {
-				e.Begin(TagCertificate, 1)
-				inner := e.Mark()
-				e.F64s(payload)
-				e.Patch(inner)
-			}
-			e.Patch(off)
-		}
 	}
 	e.Begin(TagFleet, 1)
 	e.U64(42)

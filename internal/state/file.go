@@ -24,16 +24,15 @@ func WriteFile(path string, data []byte) error {
 // EncodeFile encodes a snapshot straight into path with WriteFile's
 // atomicity: encode runs against an encoder whose sink is the temporary
 // file, so the buffer spills into the file at component boundaries (see
-// Encoder) and a checkpoint holds about spillThreshold bytes plus its
-// largest Mark section, however large the file grows. The bytes are the
+// Encoder) and a checkpoint holds about spillThreshold bytes plus the
+// component that crosses it, however large the file grows. The bytes are the
 // ones encode would have produced into NewEncoder. It returns the file's
 // size; if encode or a write fails, path is left as it was and no
 // temporary file remains.
 func EncodeFile(path string, encode func(*Encoder) error) (int, error) {
 	var n int
 	err := writeAtomic(path, func(w io.Writer) error {
-		// Room for the threshold plus the component that crosses it, so
-		// only an open Mark section can grow the buffer.
+		// Room for the threshold plus the component that crosses it.
 		enc := &Encoder{buf: make([]byte, 0, spillThreshold+spillThreshold/4), w: w}
 		if err := encode(enc); err != nil {
 			return err

@@ -362,7 +362,16 @@ func BenchmarkFleetSnapshot(b *testing.B) {
 
 // BenchmarkFleetRestore measures recovery latency: rebuilding detectors
 // and restoring every stream's state from a snapshot into a fresh engine.
-func BenchmarkFleetRestore(b *testing.B) {
+func BenchmarkFleetRestore(b *testing.B) { benchRestore(b, false) }
+
+// BenchmarkFleetRestoreFirstWave measures recovery up to the first
+// decisions: the restore BenchmarkFleetRestore times, a handle lookup per
+// stream, and one Batcher.Submit wave that steps every restored stream
+// once. Restored shard certificates start cold, so the wave pays each
+// certificate's first full scan.
+func BenchmarkFleetRestoreFirstWave(b *testing.B) { benchRestore(b, true) }
+
+func benchRestore(b *testing.B, wave bool) {
 	for _, n := range []int{64, 512} {
 		b.Run(fmt.Sprintf("streams=%d", n), func(b *testing.B) {
 			eng, mk := benchFleet(b, n)
@@ -373,6 +382,13 @@ func BenchmarkFleetRestore(b *testing.B) {
 			}
 			eng.Close()
 			blob := enc.Bytes()
+			est, u := benchSample(models.ByName("aircraft-pitch"))
+			ids := make([]string, n)
+			for k := range ids {
+				ids[k] = fmt.Sprintf("s-%04d", k)
+			}
+			items := make([]fleet.BatchItem, n)
+			out := make([]fleet.BatchResult, n)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -384,7 +400,21 @@ func BenchmarkFleetRestore(b *testing.B) {
 				if err := fresh.Restore(dec, mk); err != nil {
 					b.Fatalf("Restore: %v", err)
 				}
+				if wave {
+					for k, id := range ids {
+						s, _ := fresh.Stream(id)
+						items[k] = fleet.BatchItem{Stream: s, Estimate: est, AppliedU: u}
+					}
+					if err := fresh.NewBatcher().Submit(items, out); err != nil {
+						b.Fatalf("Submit: %v", err)
+					}
+				}
 				b.StopTimer()
+				for _, r := range out {
+					if r.Err != nil {
+						b.Fatalf("first wave: %v", r.Err)
+					}
+				}
 				fresh.Close()
 				b.StartTimer()
 			}

@@ -88,10 +88,9 @@ func ingestSteps(t *testing.T, srv *Server, specs []streamSpec, handles []uint64
 
 // TestCheckpointStreamedBytes pins that streaming a checkpoint into its
 // file changes none of its bytes: for a fleet of all six plants under all
-// four strategies plus 300 adaptive quadrotor streams — a ~2.8 MB file,
-// so the encoder spills many times and the certificate section is large —
-// the file equals the buffered encoding of the header, the spec section
-// and Engine.Snapshot.
+// four strategies plus 300 adaptive quadrotor streams — a ~2.7 MB file,
+// so the encoder spills many times — the file equals the buffered
+// encoding of the header, the spec section and Engine.Snapshot.
 func TestCheckpointStreamedBytes(t *testing.T) {
 	dir := t.TempDir()
 	srv := NewServer(Config{CheckpointDir: dir, Workers: 2})
@@ -137,7 +136,7 @@ func TestCheckpointStreamedBytes(t *testing.T) {
 }
 
 // TestCheckpointAllocs pins the memory of a streamed checkpoint: one
-// Checkpoint of 2,000 warmed quadrotor streams, an ~18.8 MB file, must
+// Checkpoint of 2,000 warmed quadrotor streams, an ~17.6 MB file, must
 // allocate at most 4 MB. Building the file in one buffer first allocated
 // several times the file size on every checkpoint.
 func TestCheckpointAllocs(t *testing.T) {
@@ -247,7 +246,8 @@ func TestCheckpointConcurrentOpenRestores(t *testing.T) {
 // fails each time with no stream left in the engine or the registry, the
 // same server then restores the intact file and replays the suffix
 // bit-identically, and a server whose restore failed opens a recorded
-// stream afresh.
+// stream afresh. A file whose header names the retired container version
+// 1 is refused the same way, with an error naming the version.
 func TestFailedRestoreLeavesServerEmpty(t *testing.T) {
 	const k, steps = 20, 40
 	dir := t.TempDir()
@@ -273,14 +273,16 @@ func TestFailedRestoreLeavesServerEmpty(t *testing.T) {
 		}
 		cuts = append(cuts, name)
 	}
-	restoreFails := func(srv *Server, name string) {
+	restoreFails := func(srv *Server, name string) error {
 		t.Helper()
-		if n, err := srv.Restore(name); err == nil {
-			t.Fatalf("Restore(%s) of a truncated checkpoint succeeded with %d streams", name, n)
+		n, err := srv.Restore(name)
+		if err == nil {
+			t.Fatalf("Restore(%s) of a damaged checkpoint succeeded with %d streams", name, n)
 		}
 		if n, st := srv.Engine().Streams(), srv.Stats().Streams; n != 0 || st != 0 {
 			t.Fatalf("failed Restore(%s) left %d engine streams, %d registered", name, n, st)
 		}
+		return err
 	}
 
 	srv := NewServer(Config{CheckpointDir: dir, Workers: 2})
@@ -300,9 +302,17 @@ func TestFailedRestoreLeavesServerEmpty(t *testing.T) {
 		}
 	}
 
+	old := bytes.Clone(blob)
+	old[len(state.Magic)], old[len(state.Magic)+1] = 1, 0
+	if err := state.WriteFile(filepath.Join(dir, "v1.awds"), old); err != nil {
+		t.Fatalf("WriteFile: %v", err)
+	}
 	other := NewServer(Config{CheckpointDir: dir, Workers: 2})
 	defer other.Close()
 	restoreFails(other, cuts[3])
+	if err := restoreFails(other, "v1.awds"); !strings.Contains(err.Error(), "container version 1 ") {
+		t.Fatalf("Restore(v1.awds) = %v, want an error naming container version 1", err)
+	}
 	ingestSteps(t, other, specs[:1], openSpecs(t, other, specs[:1]), 0, 3)
 }
 
