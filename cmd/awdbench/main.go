@@ -7,8 +7,9 @@
 // preserving whatever the other phase already records — so the "before"
 // numbers measured on the baseline survive every "after" re-measurement.
 //
-// Each section is stamped with the actual commit it was measured at
-// (`git rev-parse --short HEAD`, "unknown" outside a git checkout); the
+// Each section is stamped with the tree it was measured at: the short HEAD
+// hash, followed by "+" and a digest of the uncommitted changes when
+// tracked files differ from HEAD ("unknown" outside a git checkout); the
 // free-form -note context is recorded separately under "note", so the
 // provenance of a ledger row is machine-checkable rather than whatever the
 // Makefile's note string claimed.
@@ -32,6 +33,8 @@ package main
 
 import (
 	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -175,15 +178,35 @@ func main() {
 	fmt.Fprintf(os.Stderr, "awdbench: wrote %d benchmarks to %s (%s)\n", len(results), *out, *phase)
 }
 
-// gitCommit returns the short hash of the checkout the benchmarks ran in,
-// or "unknown" when git (or a repository) is unavailable — the ledger must
-// still be writable from an exported tarball.
+// gitCommit returns the stamp of the checkout the benchmarks ran in (see
+// commitStamp), or "unknown" when git (or a repository) is unavailable —
+// the ledger must still be writable from an exported tarball. The diff
+// leaves out the BENCH_*.json ledgers, so the phases of one `make bench-*`
+// run, which rewrite a ledger between them, carry the same stamp.
 func gitCommit() string {
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
+	head, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
 	if err != nil {
 		return "unknown"
 	}
-	return strings.TrimSpace(string(out))
+	diff, err := exec.Command("git", "diff", "--no-ext-diff", "--no-color", "--binary", "HEAD",
+		"--", ":/", ":(top,exclude)BENCH_*.json").Output()
+	if err != nil {
+		return "unknown"
+	}
+	return commitStamp(strings.TrimSpace(string(head)), diff)
+}
+
+// commitStamp formats a ledger stamp from the short HEAD hash and the diff
+// of the tracked files against HEAD: the bare hash for a clean tree, else
+// the hash, "+" and the first 12 hex digits of the diff's SHA-256, so a
+// ledger regenerated before its change is committed names the tree it
+// measured rather than the parent commit.
+func commitStamp(head string, diff []byte) string {
+	if len(diff) == 0 {
+		return head
+	}
+	sum := sha256.Sum256(diff)
+	return head + "+" + hex.EncodeToString(sum[:])[:12]
 }
 
 // checkFlatness is the -check-flat mode: it loads the phase section of the

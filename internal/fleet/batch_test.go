@@ -13,13 +13,13 @@ import (
 // bundled plant with several streams each, fed in interleaved batches
 // through Batcher.Submit on one engine and one Stream.Submit at a time on
 // a twin engine — every stream's decision sequence must be bit-identical.
-// Deliberately small shards and step batches keep the shard batching
-// machinery engaged underneath.
+// Deliberately small shards keep the shard batching machinery engaged
+// underneath.
 func TestBatcherMatchesSerial(t *testing.T) {
 	const steps, perPlant = 40, 3
-	batched := New(Config{Workers: 2, ShardSize: 4, MaxBatch: 4})
+	batched := New(Config{Workers: 2, ShardSize: 4})
 	defer batched.Close()
-	serial := New(Config{Workers: 2, ShardSize: 4, MaxBatch: 4})
+	serial := New(Config{Workers: 2, ShardSize: 4})
 	defer serial.Close()
 
 	type streamCase struct {

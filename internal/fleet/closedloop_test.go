@@ -33,8 +33,8 @@ func (r refSource) FromState(x0 mat.Vec) int {
 }
 
 // TestFleetClosedLoopWideTile drives the certificate pass with the
-// detector's own traffic at full width: a default Config (one tile of 256
-// streams per chunk), 256 adaptive streams each of two plants, every step
+// detector's own traffic at full width: a default Config (shards of one
+// 256-stream tile), 256 adaptive streams each of two plants, every step
 // one Batcher.Submit wave, each stream replaying its own closed-loop trace
 // with attacks on one stream in 16 each. Streams of a plant share one
 // certificate, which re-anchors on most queries, so this walks mid-tile

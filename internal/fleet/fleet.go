@@ -55,33 +55,20 @@ var (
 	ErrUnknownStream = errors.New("fleet: unknown stream")
 )
 
-// DefaultShardSize is the fallback number of streams per shard when Config
-// leaves ShardSize zero and the startup auto-tuner cannot run. It matches
-// the batch kernels' cache tile (mat.BatchTile) so a full shard is one
-// tile-resident batch.
-const DefaultShardSize = 256
-
 // Config parameterizes an Engine. The zero value is usable: every field
 // has a sensible default.
 type Config struct {
 	// Workers is the number of shard-processing goroutines; <= 0 uses
 	// runtime.GOMAXPROCS(0).
 	Workers int
-	// ShardSize caps the streams grouped into one shard. <= 0 auto-tunes a
-	// size per plant shape when that plant's first shard is formed, by
-	// measuring where the batched prediction kernel's per-column cost stops
-	// improving with batch width (see AutoShardSize). A positive value is an
-	// explicit override applied to every shard.
+	// ShardSize caps the streams grouped into one shard. <= 0, or anything
+	// above one kernel tile, means mat.BatchTile: a shard is then stepped
+	// as one batch whose per-stream state (~3 KB each — logger ring,
+	// window slab, detector headers) stays cache-resident across the
+	// step's passes (predict, observe, deadline, slide, finish). Smaller
+	// values exist so tests can spread a few streams over many shards;
+	// decisions are bit-identical at every size.
 	ShardSize int
-	// MaxBatch caps the streams stepped in one batch-pass chunk. <= 0
-	// defaults to the kernel tile (mat.BatchTile): a chunk's per-stream
-	// state (~3 KB each — logger ring, window slab, detector headers) then
-	// stays cache-resident across the step's passes (predict, observe,
-	// deadline, slide, finish), where a whole wide shard swept per pass
-	// would evict itself between passes at mid-size fleets. Values above
-	// the shard's size clamp to it. A pure performance knob: decisions are
-	// bit-identical at every chunking.
-	MaxBatch int
 	// Observer receives fleet telemetry (stream/shard gauges, step and
 	// batch counters, run-queue depth, per-shard batch latency). Nil
 	// disables instrumentation at the usual one-pointer-check cost.
@@ -128,8 +115,8 @@ func New(cfg Config) *Engine {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.ShardSize < 0 {
-		cfg.ShardSize = 0 // auto-tune per plant shape at shard formation
+	if cfg.ShardSize <= 0 || cfg.ShardSize > mat.BatchTile {
+		cfg.ShardSize = mat.BatchTile
 	}
 	if cfg.Clock == nil {
 		//awdlint:allow wallclock -- the engine's single wall-clock entry point: the default telemetry clock when none is injected; decisions never read it
@@ -163,10 +150,6 @@ func New(cfg Config) *Engine {
 	}
 	return e
 }
-
-// ShardSize returns the configured shard capacity override, or 0 when shard
-// sizes are auto-tuned per plant shape at shard formation (see Config).
-func (e *Engine) ShardSize() int { return e.cfg.ShardSize }
 
 // AddStream registers a detection stream under id. det must be freshly
 // constructed (nothing observed yet) — the engine mirrors the logger's
@@ -288,16 +271,6 @@ func (e *Engine) dropAll() {
 // afterwards.
 func (e *Engine) newShard(key string, sys *lti.System) *shard {
 	size := e.cfg.ShardSize
-	if size <= 0 {
-		size = AutoShardSize(sys)
-	}
-	mb := e.cfg.MaxBatch
-	if mb <= 0 {
-		mb = mat.BatchTile // phase-block by default; see Config.MaxBatch
-	}
-	if mb > size {
-		mb = size
-	}
 	n, m := sys.StateDim(), sys.InputDim()
 	sh := &shard{
 		eng:       e,
@@ -305,7 +278,6 @@ func (e *Engine) newShard(key string, sys *lti.System) *shard {
 		owner:     len(e.shards) % e.cfg.Workers,
 		sys:       sys,
 		size:      size,
-		maxBatch:  mb,
 		pending:   make([]*Stream, 0, size),
 		work:      make([]*Stream, 0, size),
 		streamArr: make([]Stream, size),
@@ -576,12 +548,11 @@ func (s *Stream) noteStep() { s.steps++ }
 // shard is a group of streams sharing one plant model, processed as
 // batches by one worker at a time.
 type shard struct {
-	eng      *Engine
-	idx      int
-	owner    int // preferred worker (idx mod Workers); see runQueue
-	sys      *lti.System
-	size     int // stream capacity (configured or auto-tuned)
-	maxBatch int // per-batch stream cap, clamped to size
+	eng   *Engine
+	idx   int
+	owner int // preferred worker (idx mod Workers); see runQueue
+	sys   *lti.System
+	size  int // stream capacity (Config.ShardSize, at most one kernel tile)
 
 	mu       sync.Mutex
 	pending  []*Stream // streams with a fresh sample awaiting processing
@@ -638,23 +609,16 @@ func (sh *shard) wake(s *Stream) {
 	}
 }
 
-// process drains the shard's pending streams in MaxBatch-sized batches.
-// Samples that arrive while processing are picked up by re-enqueueing, so
-// the queued invariant (one worker per shard) holds without holding the
-// mutex across kernel calls.
+// process steps the shard's pending streams as one batch: each stream holds
+// at most one pending sample, so pending never outgrows the shard, which is
+// at most one kernel tile wide. Samples that arrive while processing are
+// picked up by re-enqueueing, so the queued invariant (one worker per
+// shard) holds without holding the mutex across kernel calls.
 func (sh *shard) process() {
 	sh.mu.Lock()
 	sh.work, sh.pending = sh.pending, sh.work[:0]
 	sh.mu.Unlock()
-	work := sh.work
-	for len(work) > 0 {
-		k := len(work)
-		if k > sh.maxBatch {
-			k = sh.maxBatch
-		}
-		sh.stepBatch(work[:k])
-		work = work[k:]
-	}
+	sh.stepBatch(sh.work)
 	sh.mu.Lock()
 	if len(sh.pending) > 0 {
 		sh.mu.Unlock()

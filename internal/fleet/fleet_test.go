@@ -111,12 +111,12 @@ func newDetector(t testing.TB, m *models.Model, strat sim.Strategy) *core.System
 // TestFleetMatchesSerialAllPlants is the tentpole differential test: every
 // bundled plant, several streams per plant across strategies, fed through
 // the async Post path by concurrent feeders with deliberately small shards
-// and batch chunks — and every decision sequence must be bit-identical to
-// a standalone core.System stepped over the same samples.
+// — and every decision sequence must be bit-identical to a standalone
+// core.System stepped over the same samples.
 func TestFleetMatchesSerialAllPlants(t *testing.T) {
 	const steps = 60
 	strategies := []sim.Strategy{sim.Adaptive, sim.Adaptive, sim.Adaptive, sim.FixedWindow, sim.CUSUMBaseline}
-	eng := New(Config{Workers: 2, ShardSize: 8, MaxBatch: 4})
+	eng := New(Config{Workers: 2, ShardSize: 8})
 
 	type streamCase struct {
 		id       string
@@ -243,16 +243,96 @@ func TestSubmitMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestFleetOddShardSizeMatchesSerial is the ragged-tile differential: an
+// explicit ShardSize that is not a multiple of the kernel tile must not
+// perturb a single decision. Covers the remainder-tile path of every
+// batched kernel end to end.
+func TestFleetOddShardSizeMatchesSerial(t *testing.T) {
+	const steps = 40
+	m := models.AircraftPitch()
+	eng := New(Config{Workers: 2, ShardSize: 7})
+	defer func() {
+		if err := eng.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	}()
+
+	const streams = 17 // 2 full shards of 7 plus a remainder shard of 3
+	type sc struct {
+		ests, us []mat.Vec
+		got      []core.Decision
+	}
+	cases := make([]*sc, streams)
+	for i := range cases {
+		c := &sc{}
+		id := fmt.Sprintf("odd-%d", i)
+		c.ests, c.us = synthTrajectory(m, StreamSeed(7, id), steps)
+		ci := c
+		if _, err := eng.AddStream(id, newDetector(t, m, sim.Adaptive), func(d core.Decision, err error) {
+			if err == nil {
+				ci.got = append(ci.got, d)
+			}
+		}); err != nil {
+			t.Fatalf("AddStream(%s): %v", id, err)
+		}
+		cases[i] = c
+	}
+	for s := 0; s < steps; s++ {
+		for i, c := range cases {
+			if err := eng.Post(fmt.Sprintf("odd-%d", i), c.ests[s], c.us[s]); err != nil {
+				t.Fatalf("Post(%d, %d): %v", i, s, err)
+			}
+		}
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	for i, c := range cases {
+		if len(c.got) != steps {
+			t.Fatalf("stream %d: %d decisions, want %d", i, len(c.got), steps)
+		}
+		serial := newDetector(t, m, sim.Adaptive)
+		for s := 0; s < steps; s++ {
+			want, err := serial.Step(c.ests[s], c.us[s])
+			if err != nil {
+				t.Fatalf("serial step: %v", err)
+			}
+			if !decisionsEqual(c.got[s], want) {
+				t.Fatalf("stream %d step %d: fleet %+v != serial %+v", i, s, c.got[s], want)
+			}
+		}
+	}
+}
+
 // TestFleetSharding checks content-keyed grouping: same-plant streams pack
-// into shards of ShardSize, distinct plants never share a shard.
+// into shards of ShardSize, distinct plants never share a shard, and a
+// ShardSize left at zero or set above one kernel tile means one tile, so a
+// plant's shard count is a function of its stream count alone.
 func TestFleetSharding(t *testing.T) {
+	ma := models.AircraftPitch()
+	for _, cfg := range []Config{{}, {ShardSize: 4096}} {
+		eng := New(cfg)
+		const streams = 2*mat.BatchTile + 1 // two full tiles and one stream over
+		for i := 0; i < streams; i++ {
+			if _, err := eng.AddStream(fmt.Sprintf("a%d", i), newDetector(t, ma, sim.Adaptive), nil); err != nil {
+				t.Fatalf("%+v: AddStream: %v", cfg, err)
+			}
+		}
+		if got := eng.Shards(); got != 3 {
+			t.Errorf("%+v: %d same-plant streams formed %d shards, want 3", cfg, streams, got)
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	}
+
 	eng := New(Config{ShardSize: 4})
 	defer func() {
 		if err := eng.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
 		}
 	}()
-	ma, mb := models.AircraftPitch(), models.SeriesRLC()
+	mb := models.SeriesRLC()
 	for i := 0; i < 9; i++ {
 		if _, err := eng.AddStream(fmt.Sprintf("a%d", i), newDetector(t, ma, sim.Adaptive), nil); err != nil {
 			t.Fatalf("AddStream: %v", err)

@@ -11,8 +11,8 @@ import (
 )
 
 // FuzzBatchMatchesSerial drives a randomized mini-fleet — plant, stream
-// count, trajectory length, and seed all fuzzer-chosen, shard and batch
-// sizes deliberately tiny so chunk boundaries move — and asserts every
+// count, trajectory length, and seed all fuzzer-chosen, shard size
+// deliberately tiny so shard boundaries move — and asserts every
 // stream's decision sequence is bit-identical to a standalone detector
 // stepped over the same samples. Any float-semantics drift in the batch
 // kernels (summation order, zero handling, gather/scatter) shows up as a
@@ -27,7 +27,7 @@ func FuzzBatchMatchesSerial(f *testing.F) {
 		streams := 1 + int(nstreams)%6
 		steps := 1 + int(nsteps)%30
 
-		eng := New(Config{Workers: 2, ShardSize: 3, MaxBatch: 2})
+		eng := New(Config{Workers: 2, ShardSize: 3})
 		type streamCase struct {
 			id       string
 			ests, us []mat.Vec

@@ -105,9 +105,9 @@ func TestRestoreMatchesNeverCrashed(t *testing.T) {
 		}
 	}
 
-	// The to-be-crashed fleet: deliberately small shards and batches so
-	// streams of different plants and strategies mix inside shards.
-	cfg := Config{Workers: 2, ShardSize: 4, MaxBatch: 3}
+	// The to-be-crashed fleet: deliberately small shards so streams of
+	// different plants and strategies mix inside shards.
+	cfg := Config{Workers: 2, ShardSize: 4}
 	eng := New(cfg)
 	for _, sc := range cases {
 		if _, err := eng.AddStream(sc.id, newDetector(t, sc.m, sc.strat), nil); err != nil {
@@ -182,7 +182,7 @@ func TestRestoreMatchesNeverCrashed(t *testing.T) {
 // TestSnapshotDeterministic pins the codec promise that equal fleet states
 // encode to equal bytes, whatever the engine's layout: 64 aircraft-pitch
 // streams replay their closed-loop traces through six engines that differ
-// in shard size (8, 64, auto), batch chunk, worker count and ingest path
+// in shard size (8, 64, default), worker count and ingest path
 // (Engine.Submit one sample at a time, or one Batcher wave per step), and
 // every engine must write the same bytes mid-run and at the end. A
 // snapshot must not disturb the streams either: every engine's decisions
@@ -254,12 +254,12 @@ func TestSnapshotDeterministic(t *testing.T) {
 	}
 
 	engines := []engineCase{
-		{Config{Workers: 1, ShardSize: 8, MaxBatch: 4}, false},
-		{Config{Workers: 2, ShardSize: 64, MaxBatch: 64}, false},
+		{Config{Workers: 1, ShardSize: 8}, false},
+		{Config{Workers: 2, ShardSize: 64}, false},
 		{Config{Workers: 2}, true},
-		{Config{Workers: 2, ShardSize: 8, MaxBatch: 4}, true},
-		{Config{Workers: 1, ShardSize: 64, MaxBatch: 4}, true},
-		{Config{Workers: 1, MaxBatch: 64}, false},
+		{Config{Workers: 2, ShardSize: 8}, true},
+		{Config{Workers: 1, ShardSize: 64}, true},
+		{Config{Workers: 1}, false},
 	}
 	_, decNone := run(engines[0], false)
 	var want [][]byte

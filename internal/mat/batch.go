@@ -6,9 +6,10 @@ import "fmt"
 // kernels process at a time: 256 float64s = 2 KiB per component row, so a
 // full x-tile plus dst-tile for the bundled plants (state dimension ≤ 8)
 // stays resident in L1 while every matrix row streams over it. It is
-// exported so downstream batch loops (the fused lti.PredictBatchTo sweep,
-// the fleet engine's shard sizing) can align their blocking to the same
-// tile and keep one tile's working set resident across fused kernels.
+// exported so downstream batch loops align to the same tile: the fused
+// lti.PredictBatchTo sweep blocks by it, and a fleet engine shard holds
+// at most one tile of streams, so each batch keeps one tile's working set
+// resident across fused kernels.
 const BatchTile = 256
 
 // Batch is a struct-of-arrays block of n vectors sharing dimension dim:

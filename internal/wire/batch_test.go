@@ -86,7 +86,7 @@ func openBatchCases(t *testing.T, c *Client, steps int) []*batchCase {
 // to a standalone detector stepped over the same attacked trajectory.
 func TestWireBatchMatchesSerial(t *testing.T) {
 	const steps = 50
-	_, addr := startServer(t, Config{Workers: 2, ShardSize: 4, MaxBatch: 4})
+	_, addr := startServer(t, Config{Workers: 2})
 	c := dial(t, addr)
 	cases := openBatchCases(t, c, steps)
 

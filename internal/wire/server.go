@@ -47,8 +47,8 @@ type Config struct {
 	// MaxStreamsPerTenant caps the streams each tenant may hold open;
 	// <= 0 means unlimited.
 	MaxStreamsPerTenant int
-	// Workers, ShardSize, and MaxBatch pass through to fleet.Config.
-	Workers, ShardSize, MaxBatch int
+	// Workers passes through to fleet.Config.
+	Workers int
 	// MaxInflight caps the responses a connection's writer may hold
 	// decided but unflushed; a pipelined client stalls (backpressure)
 	// beyond it. <= 0 uses DefaultMaxInflight.
@@ -150,10 +150,8 @@ func NewServer(cfg Config) *Server {
 	return &Server{
 		cfg: cfg,
 		eng: fleet.New(fleet.Config{
-			Workers:   cfg.Workers,
-			ShardSize: cfg.ShardSize,
-			MaxBatch:  cfg.MaxBatch,
-			Observer:  cfg.Observer,
+			Workers:  cfg.Workers,
+			Observer: cfg.Observer,
 		}),
 		specs:   make(map[string]streamSpec),
 		handles: make(map[uint64]*fleet.Stream),
