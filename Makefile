@@ -70,7 +70,7 @@ bench-fleet:
 			-note "naive baseline: one goroutine per stream, channel per sample"
 	$(GO) test -run '^$$' -bench 'FleetSteps' -benchmem -benchtime 2s -count 3 ./internal/fleet/ \
 		| $(GO) run ./cmd/awdbench -out BENCH_fleet.json -phase after \
-			-note "fleet engine: sharded batch kernels, per-pass stepping (certificate queries in batch order, batched slides), one-tile shards"
+			-note "fleet engine: sharded batch kernels, per-stream StepPredicted in batch order, one-tile shards"
 	$(GO) run ./cmd/awdbench -check-flat BENCH_fleet.json -phase after \
 		-base streams=1000 -min-frac $(FLEET_MIN_FRAC)
 

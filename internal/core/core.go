@@ -145,15 +145,18 @@ type System struct {
 // implementation must return exactly the deadline the system's own
 // estimator would compute — the seam exists so the fleet engine can swap
 // in a shard-shared certificate that amortizes the search across streams,
-// not to change detection semantics.
+// not to change detection semantics. It is the fleet's only route to that
+// certificate: a fleet worker steps each stream through StepPredicted,
+// whose deadline query lands here.
 type DeadlineSource interface {
 	FromState(x0 mat.Vec) int
 }
 
 // SetDeadlineSource routes the adaptive detector's deadline queries
 // through src; nil restores the system's own estimator. Only meaningful
-// for adaptive systems (no-op queries otherwise). Not safe to call
-// concurrently with Step.
+// for adaptive systems (no-op queries otherwise). The fleet engine installs
+// each adaptive stream's shard certificate here at registration. Not safe
+// to call concurrently with Step.
 func (s *System) SetDeadlineSource(src DeadlineSource) { s.dlSrc = src }
 
 // SetStreamID stamps every subsequent trace event with a stream identity,
@@ -340,68 +343,9 @@ func (s *System) StepPredicted(estimate, pred mat.Vec) (Decision, error) {
 	return s.decide(entry)
 }
 
-// ObservePredicted ingests the estimate and an externally computed model
-// prediction into the Data Logger without deciding, returning the logged
-// entry for a later StepObserved call. StepPredicted is exactly
-// ObservePredicted followed by StepObserved(entry, -1); the fleet engine
-// splits the step at this seam so each phase — logging, the deadline query,
-// the window-sum slide, the decision — can run batched across a whole shard.
-func (s *System) ObservePredicted(estimate, pred mat.Vec) (*logger.Entry, error) {
-	return s.log.ObservePredicted(estimate, pred)
-}
-
-// DeadlineQueryState returns the trusted state the adaptive deadline query
-// for the current step starts from — the very x0 decide would pass to
-// FromState. ok is false for non-adaptive systems and when the logger does
-// not retain a trusted estimate (decide then falls back to the estimator's
-// MaxDeadline; external callers replicating the query must do the same).
-// Call it after ObservePredicted and before StepObserved: it reads the
-// detector's previous window, which StepObserved advances.
-func (s *System) DeadlineQueryState() (mat.Vec, bool) {
-	if s.mode != modeAdaptive {
-		return nil, false
-	}
-	return s.log.TrustedEstimate(s.adaptive.CurrentWindow())
-}
-
-// PrepareSlide primes the window rule's incremental sum for the upcoming
-// StepObserved call — td must be the deadline that call will receive
-// (adaptive only; ignored by the other strategies, and the fixed window
-// needs no deadline). Decisions are bit-identical with or without the
-// priming (see detect.Window.PrepareSlide); the fleet engine batches the
-// slides of a whole shard into one pass.
-func (s *System) PrepareSlide(td int) {
-	switch s.mode {
-	case modeAdaptive:
-		s.adaptive.PrepareSlide(s.log, td)
-	case modeFixed:
-		s.fixed.PrepareSlide(s.log)
-	}
-}
-
-// StepObserved completes a step split open by ObservePredicted: it runs the
-// decision pipeline on the entry that call returned. A non-negative td
-// injects the adaptive detection deadline computed externally — the fleet
-// engine's certificate pass produces it from exactly the state
-// DeadlineQueryState reports, with the same MaxDeadline fallback, so the
-// injected value equals what the system's own query would compute and the
-// decision sequence stays bit-identical. td < 0 runs the system's own
-// deadline query (non-adaptive systems ignore td either way).
-func (s *System) StepObserved(entry *logger.Entry, td int) (Decision, error) {
-	return s.decideTD(entry, td)
-}
-
 // decide runs the per-step detection pipeline on a freshly logged entry:
 // deadline estimation, the (adaptive) window rule, and telemetry.
 func (s *System) decide(entry *logger.Entry) (Decision, error) {
-	return s.decideTD(entry, -1)
-}
-
-// decideTD is decide with an optionally injected adaptive deadline: injTd
-// >= 0 skips the deadline query (and its reach-latency telemetry — the
-// query did not run here) and uses the given value; injTd < 0 queries as
-// usual.
-func (s *System) decideTD(entry *logger.Entry, injTd int) (Decision, error) {
 	dec := Decision{Step: entry.Step, ComplementaryStep: -1}
 	var err error
 
@@ -409,29 +353,27 @@ func (s *System) decideTD(entry *logger.Entry, injTd int) (Decision, error) {
 	reachTimed := false
 	switch s.mode {
 	case modeAdaptive:
-		td := injTd
-		if td < 0 {
-			var reachStart time.Time
-			if s.obs.Enabled() {
-				//awdlint:allow wallclock -- reach-latency telemetry only: reachMicros feeds StepEvent, never the decision (td comes solely from logged state)
-				reachStart = time.Now()
-			}
-			// Inlined deadline.Estimator.FromLogger, with the FromState query
-			// routed through the injected source when one is set: same trusted
-			// estimate, same max-deadline fallback, so the two paths are
-			// decision-identical by construction.
-			if x0, ok := s.log.TrustedEstimate(s.adaptive.CurrentWindow()); !ok {
-				td = s.est.MaxDeadline()
-			} else if s.dlSrc != nil {
-				td = s.dlSrc.FromState(x0)
-			} else {
-				td = s.est.FromState(x0)
-			}
-			if s.obs.Enabled() {
-				//awdlint:allow wallclock -- closes the reach-latency measurement opened above; observability-gated, decision-invisible
-				reachMicros = float64(time.Since(reachStart)) / float64(time.Microsecond)
-				reachTimed = true
-			}
+		var reachStart time.Time
+		if s.obs.Enabled() {
+			//awdlint:allow wallclock -- reach-latency telemetry only: reachMicros feeds StepEvent, never the decision (td comes solely from logged state)
+			reachStart = time.Now()
+		}
+		// Inlined deadline.Estimator.FromLogger, with the FromState query
+		// routed through the installed source when one is set: same trusted
+		// estimate, same max-deadline fallback, so the two paths are
+		// decision-identical by construction.
+		var td int
+		if x0, ok := s.log.TrustedEstimate(s.adaptive.CurrentWindow()); !ok {
+			td = s.est.MaxDeadline()
+		} else if s.dlSrc != nil {
+			td = s.dlSrc.FromState(x0)
+		} else {
+			td = s.est.FromState(x0)
+		}
+		if s.obs.Enabled() {
+			//awdlint:allow wallclock -- closes the reach-latency measurement opened above; observability-gated, decision-invisible
+			reachMicros = float64(time.Since(reachStart)) / float64(time.Microsecond)
+			reachTimed = true
 		}
 		dec.Deadline = td
 		res, err := s.adaptive.Step(s.log, td)

@@ -48,28 +48,6 @@ func (a *Adaptive) Reset() {
 	a.win.Reset()
 }
 
-// PrepareSlide primes the window rule's incremental sum for an upcoming
-// Step(log, deadline) call with the same deadline: it applies the one-step
-// slide for the primary check at the logger's current step, sized exactly
-// as Step will size it (w_c = clamp(deadline, 0, w_m)). Decisions are
-// bit-identical with or without the priming (see Window.PrepareSlide); the
-// fleet engine calls it for a whole shard in one pass so the slide updates
-// run back to back instead of interleaved with each stream's decide logic.
-func (a *Adaptive) PrepareSlide(log *logger.Logger, deadline int) {
-	t := log.Current()
-	if t < 0 {
-		return
-	}
-	wc := deadline
-	if wc < 0 {
-		wc = 0
-	}
-	if wc > a.maxWin {
-		wc = a.maxWin
-	}
-	a.win.PrepareSlide(log, t, wc)
-}
-
 // Step runs one detection round at the logger's current step with the given
 // detection deadline. The window becomes w_c = clamp(deadline, 0, w_m).
 //
@@ -170,14 +148,6 @@ func (f *Fixed) Step(log *logger.Logger) (Result, error) {
 		res.Dims = dims
 	}
 	return res, nil
-}
-
-// PrepareSlide primes the window rule's incremental sum for an upcoming
-// Step call — the fixed-window analogue of Adaptive.PrepareSlide.
-func (f *Fixed) PrepareSlide(log *logger.Logger) {
-	if t := log.Current(); t >= 0 {
-		f.win.PrepareSlide(log, t, f.w)
-	}
 }
 
 // Reset clears the window rule's incremental sum for a fresh run.

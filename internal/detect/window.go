@@ -172,12 +172,11 @@ func (w *Window) CheckAtDims(log *logger.Logger, s, win int) (dims []int, ok boo
 	n := len(w.tau)
 	sum := w.sum
 	if w.sumValid && s == w.sumStep && from == w.sumFrom {
-		// The sum already covers exactly [from, s]: either PrepareSlide ran
-		// ahead of this check (the fleet engine batches the slide updates of
-		// a whole shard into one pass), or the same check is being repeated.
-		// Thresholding the current sum is what the slide branch would have
-		// produced, so prepared and unprepared call sequences stay
-		// bit-identical.
+		// The sum already covers exactly [from, s]: the same check is being
+		// repeated. The detectors make one such repeat, at run start: when
+		// the window shrinks at step 1, the complementary pass's window,
+		// clamped at step 0, re-checks [0, 0], the check step 0 just made.
+		// Thresholding the current sum answers it without a recompute.
 		return w.threshold(s, from)
 	}
 	if w.trySlide(log, s, from) {
@@ -258,33 +257,6 @@ func (w *Window) trySlide(log *logger.Logger, s, from int) bool {
 	w.sumFrom, w.sumStep = from, s
 	w.sinceRefresh++
 	return true
-}
-
-// PrepareSlide advances the incremental window sum for an upcoming
-// CheckAtDims(log, s, win) call when that check is the previous one slid
-// forward by one step — exactly the branch CheckAtDims itself would take.
-// The fleet engine batches these two-entry updates for a whole shard into
-// one tight pass ahead of the decision loop, so the memory-bound part of
-// the window rule runs with high memory-level parallelism instead of being
-// buried inside each stream's branchy decide path. The subsequent
-// CheckAtDims finds the sum already current and goes straight to the
-// threshold; final window-sum state and decisions are bit-identical whether
-// or not the slide was prepared (a prepared slide that the step's check
-// sequence then invalidates — e.g. a shrink-time complementary recompute —
-// is simply overwritten, exactly as the unprepared path would have).
-// It reports whether the slide applied.
-func (w *Window) PrepareSlide(log *logger.Logger, s, win int) bool {
-	if win < 0 {
-		win = 0
-	}
-	from := s - win
-	if from < 0 {
-		from = 0
-	}
-	if from > s || (w.sumValid && s == w.sumStep && from == w.sumFrom) {
-		return false
-	}
-	return w.trySlide(log, s, from)
 }
 
 // threshold derives the windowed average from the current sum and compares

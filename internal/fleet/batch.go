@@ -53,7 +53,7 @@ func (e *Engine) NewBatcher() *Batcher {
 // stream must wait until the first's decision has been collected. Waves
 // preserve order (duplicates always land in a later wave than their
 // predecessor) while letting every distinct stream in the batch be in
-// flight at once — which is what engages the shards' batched step passes.
+// flight at once — which is what fills the shards' batched predictions.
 func (b *Batcher) Submit(items []BatchItem, out []BatchResult) error {
 	if len(out) != len(items) {
 		return fmt.Errorf("fleet: batch results length %d, want %d", len(out), len(items))

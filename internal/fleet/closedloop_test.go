@@ -32,8 +32,8 @@ func (r refSource) FromState(x0 mat.Vec) int {
 	return r.est.FromState(x0)
 }
 
-// TestFleetClosedLoopWideTile drives the certificate pass with the
-// detector's own traffic at full width: a default Config (shards of one
+// TestFleetClosedLoopWideTile drives the shard certificates' batch-order
+// queries with the detector's own traffic at full width: a default Config (shards of one
 // 256-stream tile), 256 adaptive streams each of two plants, every step
 // one Batcher.Submit wave, each stream replaying its own closed-loop trace
 // with attacks on one stream in 16 each. Streams of a plant share one

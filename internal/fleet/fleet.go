@@ -6,10 +6,11 @@
 // pending streams' previous estimates and applied inputs into
 // struct-of-arrays blocks, computing every stream's one-step model
 // prediction with one cache-blocked PredictBatchTo call, and then stepping
-// each detector through core.System.StepPredicted. The plant matrices
-// stream through cache once per batch instead of once per stream, which is
-// where the fleet's throughput over goroutine-per-stream execution comes
-// from.
+// each detector through core.System.StepPredicted in batch order — the
+// step pipeline serial callers run through core.System.Step. The plant
+// matrices stream through cache once per batch instead of once per stream,
+// which is where the fleet's throughput over goroutine-per-stream
+// execution comes from.
 //
 // The batch path is bit-identical to standalone core.System.Step calls:
 // the batch kernels preserve MulVecTo/MulVecAddTo's per-column summation
@@ -64,8 +65,8 @@ type Config struct {
 	// ShardSize caps the streams grouped into one shard. <= 0, or anything
 	// above one kernel tile, means mat.BatchTile: a shard is then stepped
 	// as one batch whose per-stream state (~3 KB each — logger ring,
-	// window slab, detector headers) stays cache-resident across the
-	// step's passes (predict, observe, deadline, slide, finish). Smaller
+	// window slab, detector headers) stays cache-resident from the gather
+	// through the prediction to each stream's step. Smaller
 	// values exist so tests can spread a few streams over many shards;
 	// decisions are bit-identical at every size.
 	ShardSize int
@@ -193,10 +194,10 @@ func (e *Engine) addStream(id string, det *core.System, onDecision func(core.Dec
 	slot := sh.nstreams
 	n, m := sys.StateDim(), sys.InputDim()
 	// Streams live in a shard-owned arena, and their hot vectors are slices
-	// of shard-owned slabs, both laid out in registration order: a batch
-	// pass walking the shard touches contiguous regions per data kind
-	// instead of len(ss) scattered heap objects, which is what lets the
-	// per-pass loops run at streaming speed once shards outgrow cache.
+	// of shard-owned slabs, both laid out in registration order: the
+	// batch's gather, scatter and step loops walking the shard touch
+	// contiguous regions per data kind instead of len(ss) scattered heap
+	// objects.
 	s := &sh.streamArr[slot]
 	s.id = id
 	s.eng = e
@@ -287,10 +288,6 @@ func (e *Engine) newShard(key string, sys *lti.System) *shard {
 		estSlab:   mat.NewVec(size * n),
 		uSlab:     mat.NewVec(size * m),
 		predSlab:  mat.NewVec(size * n),
-		entries:   make([]*logger.Entry, size),
-		errs:      make([]error, size),
-		tds:       make([]int, size),
-		press:     make([]float64, size),
 	}
 	if e.o.Enabled() {
 		reg := e.o.Registry()
@@ -428,7 +425,7 @@ type Stream struct {
 	eng *Engine
 	sh  *shard
 	det *core.System
-	log *logger.Logger // det.Log(), cached to shorten the gather pass's pointer chain
+	log *logger.Logger // det.Log(), cached to shorten the gather's pointer chain
 
 	// Ingest slot, written by the token holder, read by the worker. The
 	// shard mutex orders the hand-off.
@@ -441,13 +438,10 @@ type Stream struct {
 	// to keep in lockstep.
 	pred mat.Vec
 
-	// cert is the shard-shared deadline certificate this stream's deadline
-	// queries go through (nil for non-adaptive streams). The worker's
-	// certificate pass queries it once per step, in batch order, and reads
-	// the pressure the telemetry attributes to this stream right after.
-	// The certificate is also installed as the detector's deadline source,
-	// so a stream stepped outside the batch path (td not injected) queries
-	// the same state through the same FromState.
+	// cert is the shard-shared deadline certificate installed as this
+	// stream's deadline source (nil for non-adaptive streams). The worker
+	// reads its re-anchor count around the stream's step and takes the
+	// pressure the step's query left, for the fleet telemetry.
 	cert *deadline.Certificate
 
 	// tok is the sample token: holding it (the mutex locked) is the right
@@ -501,9 +495,9 @@ func (s *Stream) Post(estimate, appliedU mat.Vec) error {
 }
 
 // validate checks sample dimensions against the plant before any state is
-// touched, so a bad sample is a clean no-op — and so the worker-side step
-// can never fail on ingest, keeping the mirrored prevEst in lockstep with
-// the detector's logger.
+// touched, so a bad sample is a clean no-op and the batch gather, which
+// reads each stream's s.log.PrevEstimate() and s.u, always sees columns of
+// the plant's dimensions.
 func (s *Stream) validate(estimate, appliedU mat.Vec) error {
 	if len(estimate) != len(s.est) {
 		return fmt.Errorf("fleet: stream %q estimate dimension %d, want %d", s.id, len(estimate), len(s.est))
@@ -572,19 +566,11 @@ type shard struct {
 
 	// Per-stream state slabs the Stream hot vectors slice into, and the
 	// arena the Stream structs themselves live in (see AddStream):
-	// registration-ordered, so batch passes touch contiguous memory. The
+	// registration-ordered, so a batch's loops touch contiguous memory. The
 	// arena is never reallocated, so *Stream handles stay valid for the
 	// engine's life.
 	estSlab, uSlab, predSlab mat.Vec
 	streamArr                []Stream
-
-	// Per-batch phase scratch (indexed by position in the batch): the logged
-	// entry and error of the observe pass, and the injected deadline and
-	// pressure of the certificate pass.
-	entries []*logger.Entry
-	errs    []error
-	tds     []int
-	press   []float64
 
 	// Shared deadline certificates, one per compatible estimator
 	// configuration among the shard's adaptive streams (appended under
@@ -629,24 +615,18 @@ func (sh *shard) process() {
 	sh.mu.Unlock()
 }
 
-// stepBatch runs one batch through the step pipeline one phase at a time —
-// gather, batched prediction, scatter, logging, deadline queries,
-// window-sum slides, decisions — instead of running every phase per stream.
-// Each pass walks one kind of data for the whole batch, so the memory
-// system sees long independent access streams (high memory-level
-// parallelism) where the per-stream loop interleaved half a dozen working
-// sets per iteration.
+// stepBatch runs one batch: it gathers the streams' previous estimates and
+// inputs, computes every prediction with one PredictBatchTo call, scatters
+// them back, and then steps each stream through core.System.StepPredicted
+// in batch order and delivers its decision.
 //
-// Bit-identity with serial core.System.Step holds phase by phase: the
-// prediction kernels preserve per-column summation order (see package
-// comment); the observe pass is each stream's own ObservePredicted; the
-// certificate pass calls each stream's Certificate.FromState in batch
-// order, which is the query sequence serial stepping issues to every
-// certificate (queries on different certificates never interact); the
-// slide pass is decision-neutral by Window.PrepareSlide's contract; and
-// StepObserved with the injected deadline is decide with the query it
-// would have made. Per-stream state (logger ring, estimator warm start,
-// detector windows) lives in each det untouched.
+// Bit-identity with serial core.System.Step: the prediction kernels
+// preserve per-column summation order (see package comment), and
+// StepPredicted runs the same logging, deadline query and window rule as
+// Step. Each adaptive query reaches the stream's shard certificate through
+// the installed deadline source, in batch order — the query sequence
+// serial stepping issues to every certificate (queries on different
+// certificates never interact).
 func (sh *shard) stepBatch(ss []*Stream) {
 	var start time.Time
 	if sh.eng.o.Enabled() {
@@ -693,66 +673,27 @@ func (sh *shard) stepBatch(ss []*Stream) {
 		}
 	}
 
-	// Observe pass: log every stream's sample and prediction. Entries stay
-	// valid through the batch — a stream's next Observe cannot happen until
-	// its token is released in the finish pass.
-	entries, errs := sh.entries[:k], sh.errs[:k]
-	for i, s := range ss {
-		entries[i], errs[i] = s.det.ObservePredicted(s.est, s.pred)
-	}
-
-	// Certificate pass: answer every adaptive stream's deadline query in
-	// batch order through its shard certificate, exactly the query sequence
-	// serial stepping issues. tds[i] < 0 means "no injected deadline"
-	// (non-adaptive streams, or an observe error); press[i] < 0 means no
-	// pressure reading.
-	tds, press := sh.tds[:k], sh.press[:k]
-	var reanchors uint64
-	for i, s := range ss {
-		tds[i], press[i] = -1, -1
-		if s.cert == nil || errs[i] != nil {
-			continue
-		}
-		x0, ok := s.det.DeadlineQueryState()
-		if !ok {
-			// Same fallback decide takes without touching the source.
-			tds[i] = s.det.Estimator().MaxDeadline()
-			continue
-		}
-		before := s.cert.Reanchors()
-		tds[i] = s.cert.FromState(x0)
-		reanchors += s.cert.Reanchors() - before
-		if p, ok := s.cert.TakePressure(); ok {
-			press[i] = p
-		}
-	}
-
-	// Slide pass: advance every stream's incremental window sum back to
-	// back (decision-neutral; see core.System.PrepareSlide).
-	for i, s := range ss {
-		if errs[i] == nil {
-			s.det.PrepareSlide(tds[i])
-		}
-	}
-
-	// Finish pass: run each detector's decision logic on its logged entry
-	// with the pre-computed deadline, then deliver.
+	// Between the two certificate reads only this stream's step runs, and
+	// it makes at most one query, so the re-anchor delta and the pressure
+	// reading belong to this stream.
 	obsOn := sh.eng.o.Enabled()
 	alarms := int64(0)
-	for i, s := range ss {
-		var dec core.Decision
-		err := errs[i]
-		if err == nil {
-			dec, err = s.det.StepObserved(entries[i], tds[i])
+	var reanchors uint64
+	for _, s := range ss {
+		var before uint64
+		if s.cert != nil {
+			before = s.cert.Reanchors()
+		}
+		dec, err := s.det.StepPredicted(s.est, s.pred)
+		if s.cert != nil {
+			reanchors += s.cert.Reanchors() - before
+			if p, ok := s.cert.TakePressure(); ok && obsOn {
+				sh.eng.mPressure.Observe(p)
+			}
 		}
 		s.noteStep()
-		if obsOn {
-			if err == nil && dec.Alarmed() {
-				alarms++
-			}
-			if press[i] >= 0 {
-				sh.eng.mPressure.Observe(press[i])
-			}
+		if obsOn && err == nil && dec.Alarmed() {
+			alarms++
 		}
 		syncWait := s.syncWait
 		s.syncWait = false

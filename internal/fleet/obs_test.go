@@ -133,9 +133,9 @@ func TestFleetStreamIDFlowsToSink(t *testing.T) {
 
 // TestFleetSubmitAllocFreeWithMetrics re-pins the zero-alloc contract with
 // a metrics-only observer attached: the per-shard counters, the alarm
-// counters, the deadline-pressure observation and the re-anchor counter
-// must all ride the hot path without a single heap allocation per
-// stream-step.
+// counters, the deadline-pressure observation, the re-anchor counter and
+// the detector's reach-latency timing must all ride the hot path without a
+// single heap allocation per stream-step.
 func TestFleetSubmitAllocFreeWithMetrics(t *testing.T) {
 	m := models.AircraftPitch()
 	o := obs.NewObserver(obs.NewRegistry(), nil)
@@ -195,5 +195,10 @@ func TestFleetSubmitAllocFreeWithMetrics(t *testing.T) {
 	}
 	if reg.Histogram(obs.MetricFleetDeadlinePressure, "", obs.DeadlinePressureBuckets).Count() < 500 {
 		t.Error("deadline pressure histogram did not record the run")
+	}
+	// The detector shares the engine's observer, so a fleet step times its
+	// deadline query exactly as a serial step does.
+	if got := reg.Histogram(obs.MetricReachLatency, "", obs.ReachLatencyBuckets).Count(); got < 500 {
+		t.Errorf("reach latency histogram recorded %d queries, want at least 500", got)
 	}
 }
