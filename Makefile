@@ -28,19 +28,23 @@ FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/detect/ -run '^$$' -fuzz '^FuzzNoEscape$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/logger/ -run '^$$' -fuzz '^FuzzBufferHoldRelease$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/reach/ -run '^$$' -fuzz '^FuzzSupportFunction$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/reach/ -run '^$$' -fuzz '^FuzzReachBoundFinite$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/reach/ -run '^$$' -fuzz '^FuzzStepperMatchesReachBox$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fleet/ -run '^$$' -fuzz '^FuzzBatchMatchesSerial$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzSnapshotRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzFrameRoundTrip$$' -fuzztime $(FUZZTIME)
 
-# Re-measure the detector-step overhead numbers recorded in BENCH_obs.json:
-# per-step observation cost plus the snapshot/rollup read path the console
-# polls (must stay O(shards), see internal/obs/snapshot_test.go).
+# Re-measure the detector-step overhead numbers ledgered in BENCH_obs.json:
+# the detector step with the observer off, metrics-only and ring-traced,
+# the ObserveStep fan-out, plus the snapshot/rollup read path the console
+# polls (must stay O(shards), see internal/obs/snapshot_test.go). Updates
+# only the "after" section; the committed "before" baseline (the
+# pre-instrumentation seed tree) is preserved by cmd/awdbench.
 bench-obs:
-	$(GO) test -run '^$$' -bench 'DetectorStepObservability|ObserveStep' -benchmem -count 3 .
-	$(GO) test -run '^$$' -bench 'RegistrySnapshot|FleetRollup' -benchmem -count 3 ./internal/obs/
+	{ $(GO) test -run '^$$' -bench 'DetectorStep$$|DetectorStepObservability|ObserveStep' -benchmem -count 3 . && \
+	  $(GO) test -run '^$$' -bench 'RegistrySnapshot|FleetRollup' -benchmem -count 3 ./internal/obs/ ; } \
+		| $(GO) run ./cmd/awdbench -out BENCH_obs.json -phase after \
+			-note "observer off / metrics / ring-traced detector step, ObserveStep fan-out, registry snapshot and fleet rollup read path"
 
 # Re-measure the hot-path numbers ledgered in BENCH_perf.json. Updates only
 # the "after" section; the committed "before" baseline (pre-optimization

@@ -25,7 +25,7 @@ import (
 func main() {
 	var (
 		which       = flag.String("exp", "all", "experiment: table1|table2|fig6|fig7|fig8|ablations|extended|recovery|threshold|traces|validate|magnitude|overhead|stealthy|all")
-		runs        = flag.Int("runs", 100, "Monte-Carlo runs per case (Table 2, Fig 7, ablations)")
+		runs        = flag.Int("runs", 100, "Monte-Carlo runs per case (Table 2, Fig 7, Fig 8 campaign, ablations)")
 		step        = flag.Int("step", 5, "window-size stride for the Fig 7 sweep")
 		seed        = flag.Uint64("seed", 2022, "base seed")
 		csvdir      = flag.String("csvdir", "", "directory for machine-readable CSV copies (created if missing)")
@@ -147,6 +147,11 @@ func main() {
 		}
 		fmt.Println(exp.RenderFig8(r))
 		emit("fig8.csv", func(w io.Writer) error { return exp.Fig8CSV(r, w) })
+		c, err := exp.Fig8Campaign(*runs, *seed, obsrv)
+		if err != nil {
+			return err
+		}
+		fmt.Println(exp.RenderFig8Campaign(c))
 		return nil
 	})
 

@@ -54,7 +54,7 @@ func main() {
 	// The drill-down tail rides on the metrics mux; without an endpoint it
 	// has nothing to serve, so it is only wired up when -metrics-addr is
 	// set. -metrics-dump alone still enables a (serverless) registry below.
-	var tail *obs.StreamTail
+	var tail *obs.RingSink
 	bootOpts := []obs.Option{}
 	if *metricsAddr != "" {
 		target := *tailStream

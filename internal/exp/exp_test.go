@@ -165,6 +165,25 @@ func TestFig8TestbedScenario(t *testing.T) {
 	}
 }
 
+// TestFig8CampaignSmall pins Sec. 6.2's campaign claim on five seeds: the
+// bias drives every run unsafe, the adaptive detector is in time in all of
+// them and fixed(30) in none.
+func TestFig8CampaignSmall(t *testing.T) {
+	r, err := Fig8Campaign(5, 2022, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Fig8CampaignResult{Runs: 5, UnsafeRuns: 5, AdaptiveInTime: 5, FixedInTime: 0}
+	if r != want {
+		t.Errorf("campaign = %+v, want %+v", r, want)
+	}
+	out := RenderFig8Campaign(r)
+	if !strings.Contains(out, "adaptive in-time detections:     5") ||
+		!strings.Contains(out, "fixed(30) in-time detections:    0") {
+		t.Errorf("RenderFig8Campaign malformed:\n%s", out)
+	}
+}
+
 func TestAblationComplementarySmall(t *testing.T) {
 	rows, err := AblationComplementary(2, 31)
 	if err != nil {

@@ -25,42 +25,24 @@ type Fig8Result struct {
 
 // Fig8Config parameterizes the testbed scenario.
 type Fig8Config struct {
-	Seed     uint64
-	FixedWin int // paper: 30
+	Seed uint64
 	// Observer streams live telemetry from both runs (nil = off).
 	Observer *obs.Observer
 }
 
+// fig8FixedWin is the paper's fixed-window baseline size.
+const fig8FixedWin = 30
+
 // Fig8 runs the identified RC-car model through the published attack
 // scenario with both detection strategies.
 func Fig8(cfg Fig8Config) (*Fig8Result, error) {
-	if cfg.FixedWin <= 0 {
-		cfg.FixedWin = 30
-	}
 	m := models.TestbedCar()
 	cOut := m.Sys.C.At(0, 0)
 
-	attA, err := sim.BuildAttack(m, "bias")
+	trA, metA, metF, err := fig8Pair(m, cfg.Seed, cfg.Observer)
 	if err != nil {
 		return nil, err
 	}
-	trA, err := sim.Run(sim.Config{Model: m, Attack: attA, Strategy: sim.Adaptive, Seed: cfg.Seed, Observer: cfg.Observer})
-	if err != nil {
-		return nil, err
-	}
-	attF, err := sim.BuildAttack(m, "bias")
-	if err != nil {
-		return nil, err
-	}
-	trF, err := sim.Run(sim.Config{
-		Model: m, Attack: attF, Strategy: sim.FixedWindow, FixedWin: cfg.FixedWin, Seed: cfg.Seed,
-		Observer: cfg.Observer,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	metA, metF := sim.Analyze(trA), sim.Analyze(trF)
 	res := &Fig8Result{
 		AttackStart:   trA.AttackStart,
 		AdaptiveAlert: metA.FirstAlarm,
@@ -74,6 +56,80 @@ func Fig8(cfg Fig8Config) (*Fig8Result, error) {
 		res.SpeedMS[i] = r.TrueState[0] * cOut
 	}
 	return res, nil
+}
+
+// fig8Pair runs one seed of the testbed scenario under the adaptive and
+// the fixed(30) detector and returns the adaptive trace and both runs'
+// metrics.
+func fig8Pair(m *models.Model, seed uint64, o *obs.Observer) (*sim.Trace, sim.Metrics, sim.Metrics, error) {
+	attA, err := sim.BuildAttack(m, "bias")
+	if err != nil {
+		return nil, sim.Metrics{}, sim.Metrics{}, err
+	}
+	trA, err := sim.Run(sim.Config{Model: m, Attack: attA, Strategy: sim.Adaptive, Seed: seed, Observer: o})
+	if err != nil {
+		return nil, sim.Metrics{}, sim.Metrics{}, err
+	}
+	attF, err := sim.BuildAttack(m, "bias")
+	if err != nil {
+		return nil, sim.Metrics{}, sim.Metrics{}, err
+	}
+	trF, err := sim.Run(sim.Config{
+		Model: m, Attack: attF, Strategy: sim.FixedWindow, FixedWin: fig8FixedWin, Seed: seed,
+		Observer: o,
+	})
+	if err != nil {
+		return nil, sim.Metrics{}, sim.Metrics{}, err
+	}
+	return trA, sim.Analyze(trA), sim.Analyze(trF), nil
+}
+
+// Fig8CampaignResult counts the testbed scenario's outcomes over seeded
+// runs: Sec. 6.2 reports the adaptive detector in time in every run and
+// the fixed(30) detector in none.
+type Fig8CampaignResult struct {
+	Runs int
+	// UnsafeRuns counts runs whose true speed left the safe region.
+	UnsafeRuns int
+	// AdaptiveInTime / FixedInTime count runs whose first alarm came at or
+	// before the unsafe entry (sim.Metrics: detected, deadline not missed).
+	AdaptiveInTime int
+	FixedInTime    int
+}
+
+// Fig8Campaign replays the testbed scenario over runs seeds
+// seed + i·7919 with both detectors. The observer (nil = off) streams the
+// runs' telemetry and aggregates the adaptive runs' outcomes.
+func Fig8Campaign(runs int, seed uint64, o *obs.Observer) (Fig8CampaignResult, error) {
+	res := Fig8CampaignResult{Runs: runs}
+	m := models.TestbedCar()
+	for i := 0; i < runs; i++ {
+		_, metA, metF, err := fig8Pair(m, seed+uint64(i)*7919, o)
+		if err != nil {
+			return Fig8CampaignResult{}, err
+		}
+		o.ObserveRun(metA.DetectionDelay, metA.Detected, metA.DeadlineMissed)
+		if metA.UnsafeStep >= 0 {
+			res.UnsafeRuns++
+		}
+		if metA.Detected && !metA.DeadlineMissed {
+			res.AdaptiveInTime++
+		}
+		if metF.Detected && !metF.DeadlineMissed {
+			res.FixedInTime++
+		}
+	}
+	return res, nil
+}
+
+// RenderFig8Campaign prints the campaign counters.
+func RenderFig8Campaign(r Fig8CampaignResult) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "testbed bias campaign over %d runs:\n", r.Runs)
+	fmt.Fprintf(&b, "  runs reaching the unsafe region: %d\n", r.UnsafeRuns)
+	fmt.Fprintf(&b, "  adaptive in-time detections:     %d\n", r.AdaptiveInTime)
+	fmt.Fprintf(&b, "  fixed(30) in-time detections:    %d\n", r.FixedInTime)
+	return b.String()
 }
 
 // RenderFig8 charts the speed trace with the safe boundaries and alert

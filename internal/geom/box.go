@@ -1,7 +1,7 @@
-// Package geom provides the convex-set vocabulary of the paper's
-// reachability analysis (Sec. 3.2): boxes (products of intervals, Def. 3.3),
-// Euclidean balls (Def. 3.2), and their support functions. Safe/unsafe state
-// sets (Table 1) are boxes that may be unbounded (±Inf) in some dimensions.
+// Package geom provides the set vocabulary of the paper's reachability
+// analysis (Sec. 3.2): intervals and boxes, the products of intervals
+// (Def. 3.3). Safe/unsafe state sets (Table 1) and control-input ranges
+// are boxes; safe sets may be unbounded (±Inf) in some dimensions.
 package geom
 
 import (
@@ -81,21 +81,6 @@ func UniformBox(n int, lo, hi float64) Box {
 	ivs := make([]Interval, n)
 	for i := range ivs {
 		ivs[i] = NewInterval(lo, hi)
-	}
-	return Box{ivs: ivs}
-}
-
-// CenteredBox returns the box center ± radius in each dimension.
-func CenteredBox(center mat.Vec, radius mat.Vec) Box {
-	if len(center) != len(radius) {
-		panic("geom: center/radius length mismatch")
-	}
-	ivs := make([]Interval, len(center))
-	for i := range ivs {
-		if radius[i] < 0 {
-			panic(fmt.Sprintf("geom: negative radius %v in dimension %d", radius[i], i))
-		}
-		ivs[i] = NewInterval(center[i]-radius[i], center[i]+radius[i])
 	}
 	return Box{ivs: ivs}
 }

@@ -125,25 +125,6 @@ func TestBoxContainsBox(t *testing.T) {
 	}
 }
 
-func TestCenteredBox(t *testing.T) {
-	b := CenteredBox(mat.VecOf(1, 2), mat.VecOf(0.5, 1))
-	if b.Interval(0).Lo != 0.5 || b.Interval(0).Hi != 1.5 {
-		t.Errorf("dim0 = %v", b.Interval(0))
-	}
-	if b.Interval(1).Lo != 1 || b.Interval(1).Hi != 3 {
-		t.Errorf("dim1 = %v", b.Interval(1))
-	}
-}
-
-func TestCenteredBoxNegativeRadiusPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	CenteredBox(mat.VecOf(0), mat.VecOf(-1))
-}
-
 func TestBoxCenterHalfWidths(t *testing.T) {
 	// Sec 3.2.2: c_i = (u+l)/2, γ_i = (u-l)/2.
 	b := BoxFromBounds([]float64{-3, 1}, []float64{3, 5})

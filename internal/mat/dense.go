@@ -231,51 +231,6 @@ func (m *Dense) MulVecAddTo(dst, v Vec) {
 	}
 }
 
-// MulVecTrans returns vᵀ * m as a vector (equivalently mᵀ v). It completes
-// the MulVec/MulVecTo/MulBatchTo naming family for the transposed product
-// the support-function machinery uses.
-func (m *Dense) MulVecTrans(v Vec) Vec {
-	if m.rows != len(v) {
-		panic(fmt.Sprintf("mat: MulVecTrans shape mismatch %d * %dx%d", len(v), m.rows, m.cols))
-	}
-	out := make(Vec, m.cols)
-	m.mulVecTransInto(out, v)
-	return out
-}
-
-// MulVecTransTo computes vᵀ * m into dst without allocating, with the same
-// accumulation order (and therefore the same result bits) as MulVecTrans.
-// dst must not alias v.
-func (m *Dense) MulVecTransTo(dst, v Vec) {
-	if m.rows != len(v) {
-		panic(fmt.Sprintf("mat: MulVecTransTo shape mismatch %d * %dx%d", len(v), m.rows, m.cols))
-	}
-	if len(dst) != m.cols {
-		panic(fmt.Sprintf("mat: MulVecTransTo dst length %d, want %d", len(dst), m.cols))
-	}
-	if len(dst) > 0 && len(v) > 0 && &dst[0] == &v[0] {
-		panic("mat: MulVecTransTo dst aliases v")
-	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	m.mulVecTransInto(dst, v)
-}
-
-// mulVecTransInto accumulates vᵀ * m into out, which must be zeroed.
-func (m *Dense) mulVecTransInto(out, v Vec) {
-	for i, a := range v {
-		//awdlint:allow floateq -- sparsity fast path: skipping exact zeros changes no result bit
-		if a == 0 {
-			continue
-		}
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		for j, x := range row {
-			out[j] += a * x
-		}
-	}
-}
-
 // T returns the transpose of m.
 func (m *Dense) T() *Dense {
 	out := NewDense(m.cols, m.rows)

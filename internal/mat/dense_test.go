@@ -70,29 +70,6 @@ func TestMulVecKnown(t *testing.T) {
 	}
 }
 
-func TestMulVecTransIsTransposeMulVec(t *testing.T) {
-	a := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	v := VecOf(1, -1)
-	got := a.MulVecTrans(v)
-	want := a.T().MulVec(v)
-	if !got.Equal(want, 1e-12) {
-		t.Errorf("MulVecTrans = %v, want %v", got, want)
-	}
-}
-
-func TestMulVecTransToMatchesMulVecTrans(t *testing.T) {
-	a := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}, {7, 0, -1}})
-	v := VecOf(0.5, -1.25, 3)
-	want := a.MulVecTrans(v)
-	dst := NewVec(3)
-	a.MulVecTransTo(dst, v)
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Fatalf("MulVecTransTo[%d] = %v, want %v (must be bit-identical)", i, dst[i], want[i])
-		}
-	}
-}
-
 func TestTranspose(t *testing.T) {
 	a := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	at := a.T()

@@ -157,27 +157,6 @@ func (v Vec) NormInf() float64 {
 	return m
 }
 
-// Norm returns the k-norm of v for k >= 1; k = math.Inf(1) yields NormInf.
-func (v Vec) Norm(k float64) float64 {
-	switch {
-	case math.IsInf(k, 1):
-		return v.NormInf()
-	//awdlint:allow floateq -- exact fast-path dispatch; the general branch below is correct for any k
-	case k == 1:
-		return v.Norm1()
-	//awdlint:allow floateq -- exact fast-path dispatch; the general branch below is correct for any k
-	case k == 2:
-		return v.Norm2()
-	case k < 1:
-		panic(fmt.Sprintf("mat: Norm called with k=%v < 1", k))
-	}
-	s := 0.0
-	for _, x := range v {
-		s += math.Pow(math.Abs(x), k)
-	}
-	return math.Pow(s, 1/k)
-}
-
 // Equal reports whether v and w have the same length and entries within tol.
 func (v Vec) Equal(w Vec, tol float64) bool {
 	if len(v) != len(w) {
@@ -226,15 +205,6 @@ func Basis(n, i int) Vec {
 	}
 	v := make(Vec, n)
 	v[i] = 1
-	return v
-}
-
-// Constant returns a length-n vector with every entry set to c.
-func Constant(n int, c float64) Vec {
-	v := make(Vec, n)
-	for i := range v {
-		v[i] = c
-	}
 	return v
 }
 

@@ -73,32 +73,6 @@ func TestNorms(t *testing.T) {
 	}
 }
 
-func TestNormGeneralK(t *testing.T) {
-	v := VecOf(1, 1, 1, 1)
-	// ||v||_4 = (4)^(1/4) = sqrt(2)
-	if got := v.Norm(4); math.Abs(got-math.Sqrt2) > 1e-12 {
-		t.Errorf("Norm(4) = %v, want sqrt(2)", got)
-	}
-	if got := v.Norm(math.Inf(1)); got != 1 {
-		t.Errorf("Norm(inf) = %v, want 1", got)
-	}
-	if got := v.Norm(1); got != 4 {
-		t.Errorf("Norm(1) = %v, want 4", got)
-	}
-	if got := v.Norm(2); math.Abs(got-2) > 1e-12 {
-		t.Errorf("Norm(2) = %v, want 2", got)
-	}
-}
-
-func TestNormKLessThanOnePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for k < 1")
-		}
-	}()
-	VecOf(1).Norm(0.5)
-}
-
 func TestNorm2Extremes(t *testing.T) {
 	// Values that would overflow a naive sum-of-squares.
 	v := VecOf(1e200, 1e200)
@@ -128,12 +102,6 @@ func TestBasisOutOfRangePanics(t *testing.T) {
 		}
 	}()
 	Basis(2, 2)
-}
-
-func TestConstant(t *testing.T) {
-	if got := Constant(3, 7); !got.Equal(VecOf(7, 7, 7), 0) {
-		t.Errorf("Constant = %v", got)
-	}
 }
 
 func TestMaxMin(t *testing.T) {

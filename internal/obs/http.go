@@ -35,11 +35,11 @@ type StreamTailResponse struct {
 	Events []StepEvent `json:"events"`
 }
 
-// StreamTailHandler serves a StreamTail's retained events as JSON. A
+// StreamTailHandler serves a stream tail's retained events as JSON. A
 // ?id=<stream> query retargets the tail before responding (the response to
 // a retargeting request is therefore usually empty — the tail starts
 // collecting the new stream from that moment).
-func StreamTailHandler(tail *StreamTail) http.Handler {
+func StreamTailHandler(tail *RingSink) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if id := r.URL.Query().Get("id"); id != "" {
 			tail.Retarget(id)
@@ -111,7 +111,7 @@ func (s *Server) Close() error { return s.srv.Close() }
 type Option func(*bootstrapOpts)
 
 type bootstrapOpts struct {
-	tail *StreamTail
+	tail *RingSink
 }
 
 // WithStreamTail attaches a single-stream drill-down tail: its events feed
@@ -119,7 +119,7 @@ type bootstrapOpts struct {
 // is served on the metrics mux as /stream (see StreamTailHandler). With a
 // tail attached, a metricsAddr or tracePath is still required to enable
 // observability at all.
-func WithStreamTail(tail *StreamTail) Option {
+func WithStreamTail(tail *RingSink) Option {
 	return func(b *bootstrapOpts) { b.tail = tail }
 }
 

@@ -105,7 +105,8 @@ func TestStreamTailConcurrent(t *testing.T) {
 			target := tail.Target()
 			for _, ev := range tail.Events() {
 				// Events may predate a concurrent retarget, but they must all
-				// belong to ONE stream — the ring is swapped atomically.
+				// belong to ONE stream — retargeting clears the ring under
+				// the lock Emit filters under.
 				_ = target
 				if ev.StreamID == "" {
 					t.Error("unattributed event in tail")
@@ -115,6 +116,20 @@ func TestStreamTailConcurrent(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
+
+// TestStreamTailForeignEmitAllocFree pins the filter-first order: a tail
+// drops another stream's event before copying its slices, so a fleet's
+// untailed streams cost it no allocation.
+func TestStreamTailForeignEmitAllocFree(t *testing.T) {
+	tail := NewStreamTail(8, "s-1")
+	ev := StepEvent{Step: 1, StreamID: "s-2", Dims: []int{0, 2}, ResidualAvg: []float64{0.5, 1.5, 2.5}}
+	if allocs := testing.AllocsPerRun(100, func() { tail.Emit(ev) }); allocs != 0 {
+		t.Errorf("foreign Emit allocs = %v, want 0", allocs)
+	}
+	if got := len(tail.Events()); got != 0 {
+		t.Errorf("tail retained %d foreign events", got)
+	}
 }
 
 func TestTeeSinkFansOut(t *testing.T) {

@@ -116,12 +116,21 @@ func (NopSink) Close() error { return nil }
 
 // RingSink keeps the most recent events in a fixed-capacity ring buffer —
 // a flight recorder for post-mortem inspection without unbounded growth.
+// A ring made by NewStreamTail is the single-stream drill-down sink: it
+// keeps only the events of one target stream (matched on
+// StepEvent.StreamID), so an operator can tail one stream's residual /
+// window / deadline trajectory out of a fleet emitting millions of events.
+// Safe for concurrent use.
 type RingSink struct {
 	mu      sync.Mutex
 	buf     []StepEvent
 	next    int
 	full    bool
 	dropped int64
+	// tail marks a stream tail, which keeps only target's events ("" keeps
+	// none); a plain ring keeps every event.
+	tail   bool
+	target string
 }
 
 // NewRingSink returns a ring sink holding the latest capacity events.
@@ -132,12 +141,27 @@ func NewRingSink(capacity int) *RingSink {
 	return &RingSink{buf: make([]StepEvent, capacity)}
 }
 
-// Emit records the event, overwriting the oldest once full. The slice
-// fields are copied so retained events stay valid after Emit returns.
+// NewStreamTail returns a ring retaining the latest capacity events of the
+// target stream. An empty initial id means "no target yet" (every event is
+// discarded until Retarget).
+func NewStreamTail(capacity int, id string) *RingSink {
+	s := NewRingSink(capacity)
+	s.tail, s.target = true, id
+	return s
+}
+
+// Emit records the event, overwriting the oldest once full. A tail drops
+// another stream's event after one string compare, before copying
+// anything. The slice fields of a kept event are copied so retained events
+// stay valid after Emit returns.
 func (s *RingSink) Emit(ev StepEvent) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.tail && (s.target == "" || ev.StreamID != s.target) {
+		return
+	}
 	ev.ResidualAvg = append([]float64(nil), ev.ResidualAvg...)
 	ev.Dims = append([]int(nil), ev.Dims...)
-	s.mu.Lock()
 	if s.full {
 		s.dropped++
 	}
@@ -147,7 +171,28 @@ func (s *RingSink) Emit(ev StepEvent) {
 		s.next = 0
 		s.full = true
 	}
-	s.mu.Unlock()
+}
+
+// Retarget makes the ring a tail of stream id, dropping the previous
+// stream's retained events so the tail never mixes two streams'
+// trajectories. A no-op when the tail already targets id.
+func (s *RingSink) Retarget(id string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.tail && id == s.target {
+		return
+	}
+	s.tail, s.target = true, id
+	clear(s.buf)
+	s.next, s.full, s.dropped = 0, false, 0
+}
+
+// Target returns the tail's target stream id ("" when untargeted or for a
+// plain ring).
+func (s *RingSink) Target() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.target
 }
 
 // Events returns the retained events, oldest first.
@@ -172,72 +217,6 @@ func (s *RingSink) Dropped() int64 {
 
 // Close is a no-op; the buffer stays readable.
 func (s *RingSink) Close() error { return nil }
-
-// StreamTail is the single-stream drill-down sink: it forwards only the
-// events of one target stream (matched on StepEvent.StreamID) into an
-// internal ring, so an operator can tail one stream's residual / window /
-// deadline trajectory out of a fleet emitting millions of events. The
-// target is retargetable at runtime — retargeting clears the ring so the
-// tail never mixes two streams' trajectories. Emit on a non-matching event
-// is one mutex acquire and a string compare; matching events are copied by
-// the underlying RingSink. Safe for concurrent use.
-type StreamTail struct {
-	mu   sync.Mutex
-	id   string
-	cap  int
-	ring *RingSink
-}
-
-// NewStreamTail returns a tail retaining the latest capacity events of the
-// target stream. An empty initial id means "no target yet" (every event is
-// discarded until Retarget).
-func NewStreamTail(capacity int, id string) *StreamTail {
-	return &StreamTail{id: id, cap: capacity, ring: NewRingSink(capacity)}
-}
-
-// Emit forwards the event iff it carries the tail's target stream id.
-func (t *StreamTail) Emit(ev StepEvent) {
-	t.mu.Lock()
-	if t.id == "" || ev.StreamID != t.id {
-		t.mu.Unlock()
-		return
-	}
-	ring := t.ring
-	t.mu.Unlock()
-	// The ring has its own lock; emitting outside ours keeps a slow reader
-	// from backing up every non-matching stream in the fleet.
-	ring.Emit(ev)
-}
-
-// Retarget switches the tail to a new stream id, dropping the previous
-// stream's retained events. A no-op when id already is the target.
-func (t *StreamTail) Retarget(id string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if id == t.id {
-		return
-	}
-	t.id = id
-	t.ring = NewRingSink(t.cap)
-}
-
-// Target returns the current target stream id ("" when untargeted).
-func (t *StreamTail) Target() string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.id
-}
-
-// Events returns the retained events of the current target, oldest first.
-func (t *StreamTail) Events() []StepEvent {
-	t.mu.Lock()
-	ring := t.ring
-	t.mu.Unlock()
-	return ring.Events()
-}
-
-// Close is a no-op; the tail stays readable.
-func (t *StreamTail) Close() error { return nil }
 
 // TeeSink fans every event out to all sinks in order; Close closes each
 // and returns the first error. Use it to combine a drill-down tail with a

@@ -48,7 +48,7 @@ const sharedCap = 128
 // pointer, so callers must not mutate the system's matrices after first
 // use — the same immutability New itself assumes. The returned Analysis is
 // read-only and safe to share across goroutines; per-search state lives in
-// Stepper and SupportSweep values, never in the Analysis.
+// Stepper values, never in the Analysis.
 func Shared(sys *lti.System, u geom.Box, eps float64, horizon int) (*Analysis, error) {
 	var b strings.Builder
 	for i := 0; i < u.Dim(); i++ {

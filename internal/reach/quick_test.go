@@ -1,6 +1,7 @@
 package reach
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -64,11 +65,23 @@ func TestQuickReachSoundnessRandomSystems(t *testing.T) {
 	}
 }
 
-// Quick-generated agreement: the zonotope backend (ε = 0) and the
-// support-function tables must produce identical per-axis bounds on random
-// systems.
-func TestQuickZonotopeBoxAgreementRandomSystems(t *testing.T) {
-	f := func(aRaw [4]int8, x0Raw [2]int8) bool {
+// Quick-generated agreement: on random 2-D plants the precomputed tables
+// must reproduce NaiveReachBox, which rebuilds Eq. (2) from scratch, at
+// ε = 0 and at a drawn ε > 0, and FirstUnsafe must find the step a naive
+// scan over a drawn safe box finds.
+func TestQuickNaiveBoxAgreementRandomSystems(t *testing.T) {
+	const horizon = 8
+	// naiveFirstUnsafe scans NaiveReachBox for the first step in
+	// 1..horizon whose box leaves safe; horizon+1 means never.
+	naiveFirstUnsafe := func(sys *lti.System, u geom.Box, eps float64, x0 mat.Vec, safe geom.Box) int {
+		for tt := 1; tt <= horizon; tt++ {
+			if !safe.ContainsBox(NaiveReachBox(sys, u, eps, x0, tt)) {
+				return tt
+			}
+		}
+		return horizon + 1
+	}
+	f := func(aRaw [4]int8, x0Raw [2]int8, epsRaw uint8, safeRaw [4]uint8) bool {
 		a := mat.FromRows([][]float64{
 			{float64(aRaw[0]) / 100, float64(aRaw[1]) / 100},
 			{float64(aRaw[2]) / 100, float64(aRaw[3]) / 100},
@@ -79,30 +92,46 @@ func TestQuickZonotopeBoxAgreementRandomSystems(t *testing.T) {
 			return false
 		}
 		u := geom.UniformBox(2, -1, 1)
-		const horizon = 8
-		an, err := New(sys, u, 0, horizon)
-		if err != nil {
-			return false
-		}
 		x0 := mat.VecOf(float64(x0Raw[0])/10, float64(x0Raw[1])/10)
-		zs, err := NewZonotopeStepper(sys, u, 0, x0, 500)
-		if err != nil {
-			return false
-		}
-		for tt := 1; tt <= horizon; tt++ {
-			zs.Advance()
-			want, err := an.ReachBox(x0, tt)
+		lo := []float64{-0.25 - float64(safeRaw[0])/37, -0.25 - float64(safeRaw[1])/37}
+		hi := []float64{0.25 + float64(safeRaw[2])/37, 0.25 + float64(safeRaw[3])/37}
+		for _, eps := range []float64{0, 0.001 + float64(epsRaw)/1000} {
+			an, err := New(sys, u, eps, horizon)
 			if err != nil {
 				return false
 			}
-			got := zs.Box()
-			for d := 0; d < 2; d++ {
-				if diff := got.Interval(d).Lo - want.Interval(d).Lo; diff > 1e-8 || diff < -1e-8 {
+			for tt := 0; tt <= horizon; tt++ {
+				got, err := an.ReachBox(x0, tt)
+				if err != nil {
 					return false
 				}
-				if diff := got.Interval(d).Hi - want.Interval(d).Hi; diff > 1e-8 || diff < -1e-8 {
-					return false
+				want := NaiveReachBox(sys, u, eps, x0, tt)
+				for d := 0; d < 2; d++ {
+					g, w := got.Interval(d), want.Interval(d)
+					tol := 1e-9 * (1 + math.Abs(w.Lo) + math.Abs(w.Hi))
+					if math.Abs(g.Lo-w.Lo) > tol || math.Abs(g.Hi-w.Hi) > tol {
+						return false
+					}
 				}
+			}
+			// The tables and the oracle sum in different orders, so a bound
+			// within rounding of a safe face may land on either side: the
+			// search must fall between the scans of the box shrunk and grown
+			// by that rounding.
+			const slack = 1e-9
+			first, found, err := an.FirstUnsafe(x0, 0, geom.BoxFromBounds(lo, hi))
+			if err != nil {
+				return false
+			}
+			if !found {
+				first = horizon + 1
+			}
+			early := naiveFirstUnsafe(sys, u, eps, x0, geom.BoxFromBounds(
+				[]float64{lo[0] + slack, lo[1] + slack}, []float64{hi[0] - slack, hi[1] - slack}))
+			late := naiveFirstUnsafe(sys, u, eps, x0, geom.BoxFromBounds(
+				[]float64{lo[0] - slack, lo[1] - slack}, []float64{hi[0] + slack, hi[1] + slack}))
+			if first < early || first > late {
+				return false
 			}
 		}
 		return true
