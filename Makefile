@@ -59,12 +59,17 @@ bench-perf:
 # the naive goroutine-per-stream baseline, "after" the sharded batch-kernel
 # fleet engine, so the ratio is the engine's speedup at equal detection
 # semantics (the differential tests pin the two bit-identical).
+# The "after" phase also records the per-stream footprint rows
+# (BenchmarkFleetAddStream/model=...): the cost of building and
+# registering one adaptive stream, and the live heap one warmed stream
+# holds (B/stream); the flatness gate reads only the streams= rows.
 # FLEET_MIN_FRAC is the scaling-flatness floor the re-measurement enforces:
 # the largest-stream row (streams=100000) must run at at least this
 # fraction of the 1000-stream rate. The measured ratio on the reference
-# 1-vCPU box is ~0.42–0.45 (the 100000-stream working set is ~300 MB of
-# per-stream detector state, far past every cache level, so each step pays
-# DRAM latency the 1000-stream run never sees); 0.35 leaves noise headroom
+# 1-vCPU box is ~0.42–0.45 (the 100000-stream working set is ~360 MB of
+# per-stream detector state — the FleetAddStream rows' B/stream — far past
+# every cache level, so each step pays DRAM latency the 1000-stream run
+# never sees); 0.35 leaves noise headroom
 # while still failing the pre-batching engine, which measured ~0.32.
 FLEET_MIN_FRAC ?= 0.35
 bench-fleet:
@@ -72,9 +77,9 @@ bench-fleet:
 		| $(GO) run ./cmd/awdbench -out BENCH_fleet.json -phase before \
 			-title "one fleet tick: every stream ingests a sample and gets its decision (aircraft-pitch, adaptive)" \
 			-note "naive baseline: one goroutine per stream, channel per sample"
-	$(GO) test -run '^$$' -bench 'FleetSteps' -benchmem -benchtime 2s -count 3 ./internal/fleet/ \
+	$(GO) test -run '^$$' -bench 'FleetSteps|FleetAddStream' -benchmem -benchtime 2s -count 3 ./internal/fleet/ \
 		| $(GO) run ./cmd/awdbench -out BENCH_fleet.json -phase after \
-			-note "fleet engine: sharded batch kernels, per-stream StepPredicted in batch order, one-tile shards"
+			-note "fleet engine: sharded batch kernels, per-stream StepPredicted in batch order, one-tile shards; FleetAddStream rows: per-stream set-up cost and live heap per warmed stream (B/stream)"
 	$(GO) run ./cmd/awdbench -check-flat BENCH_fleet.json -phase after \
 		-base streams=1000 -min-frac $(FLEET_MIN_FRAC)
 

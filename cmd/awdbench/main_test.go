@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // TestCommitStamp pins the ledger stamp: a clean tree stamps the bare
 // hash, a dirty one appends the first 12 hex digits of its diff's SHA-256
@@ -20,6 +23,27 @@ func TestCommitStamp(t *testing.T) {
 	} {
 		if got := commitStamp(head, tc.diff); got != tc.want {
 			t.Errorf("%s: commitStamp = %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestProcsStamp pins the parallelism stamp: the -N suffix go test appends
+// to a benchmark name is its GOMAXPROCS, a name without one ran at 1, and
+// lines that disagree (a -cpu sweep) stamp the sorted distinct values.
+// Hyphens inside a row name (dc-motor, closed-loop) are not a suffix.
+func TestProcsStamp(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		lines []string
+		want  any
+	}{
+		{"one row", []string{"BenchmarkDetectorStep-2"}, 2},
+		{"rows agree", []string{"BenchmarkFleetSteps/streams=1000-8", "BenchmarkFleetAddStream/model=dc-motor-8"}, 8},
+		{"no suffix is 1", []string{"BenchmarkFleetSteps/input=closed-loop,streams=1000", "BenchmarkFleetAddStream/model=dc-motor"}, 1},
+		{"-cpu sweep", []string{"BenchmarkX-4", "BenchmarkX", "BenchmarkX-2", "BenchmarkY-4"}, []int{1, 2, 4}},
+	} {
+		if got := procsStamp(tc.lines); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: procsStamp = %#v, want %#v", tc.name, got, tc.want)
 		}
 	}
 }

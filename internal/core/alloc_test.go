@@ -48,3 +48,24 @@ func TestFixedStepNoAllocsSteadyState(t *testing.T) {
 		t.Fatalf("steady-state fixed Step allocates %v per call, want 0", allocs)
 	}
 }
+
+// TestEstimatorScratchOnFirstSearch pins where the serial path pays for
+// the deadline estimator's search scratch: a fresh adaptive system holds
+// none, its first step's query allocates it, and from then on the step is
+// the allocation-free one TestAdaptiveStepNoAllocsSteadyState measures.
+// Fixed-window systems never search and have no estimator at all.
+func TestEstimatorScratchOnFirstSearch(t *testing.T) {
+	s := must(New(cfg(t)))
+	if s.Estimator().HasScratch() {
+		t.Fatal("fresh estimator already holds search scratch")
+	}
+	if _, err := s.Step(mat.VecOf(0), mat.VecOf(0.1)); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Estimator().HasScratch() {
+		t.Fatal("first step queried a deadline without allocating search scratch")
+	}
+	if f := must(NewFixed(cfg(t), 4)); f.Estimator() != nil {
+		t.Fatal("fixed-window system carries a deadline estimator")
+	}
+}

@@ -445,16 +445,10 @@ func (s *System) residualAvg(t, w int) []float64 {
 	for i := range avg {
 		avg[i] = 0
 	}
-	// Accumulate straight off the logger ring — no intermediate residual
+	// Accumulate straight off the logger's slab — no intermediate residual
 	// slice, so trace emission stays allocation-free.
-	for step := from; step <= t; step++ {
-		e, ok := s.log.Entry(step)
-		if !ok {
-			return nil
-		}
-		for i := range avg {
-			avg[i] += e.Residual[i]
-		}
+	if !s.log.AddResiduals(avg, from, t) {
+		return nil
 	}
 	inv := 1 / float64(t-from+1)
 	for i := range avg {

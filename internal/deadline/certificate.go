@@ -58,7 +58,7 @@ type Certificate struct {
 // NewCertificate returns an unanchored certificate over est. The first
 // FromState call performs a full scan and anchors it.
 func NewCertificate(est *Estimator) *Certificate {
-	return &Certificate{est: est, ref: mat.NewVec(len(est.ref))}
+	return &Certificate{est: est, ref: mat.NewVec(est.an.StateDim())}
 }
 
 // Estimator returns the wrapped estimator.

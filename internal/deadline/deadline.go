@@ -9,11 +9,17 @@
 //
 // The estimator owns all its search scratch (a resettable reach.Stepper
 // plus the warm-start tables below), so the steady-state FromState path
-// performs zero heap allocations, and it warm-starts consecutive searches:
-// a full scan records, per step t, the largest Euclidean shift of the start
-// state under which step t provably stays inside the safe set (the
-// SafeSlack certificate, a per-dimension Cauchy–Schwarz bound through the
-// precomputed ‖(A^t)ᵀe_i‖₂ table). The next query measures its distance δ
+// performs zero heap allocations. The scratch is allocated lazily, on the
+// estimator's first search: New records only the configuration, so an
+// estimator whose queries are all answered elsewhere — a fleet stream
+// whose shard certificate wraps another stream's estimator — never holds
+// any.
+//
+// The estimator warm-starts consecutive searches: a full scan records,
+// per step t, the largest Euclidean shift of the start state under which
+// step t provably stays inside the safe set (the SafeSlack certificate, a
+// per-dimension Cauchy–Schwarz bound through the precomputed ‖(A^t)ᵀe_i‖₂
+// table). The next query measures its distance δ
 // to the anchor state and skips every leading step whose recorded slack
 // covers δ — those steps are mathematically guaranteed to remain safe, so
 // the reported deadline is identical to the one a full scan would find —
@@ -48,10 +54,12 @@ type Estimator struct {
 	safe       geom.Box
 	initRadius float64
 
-	// Owned search scratch (zero allocations in steady state).
+	// Owned search scratch (zero allocations in steady state), nil until
+	// the first search allocates it (see allocScratch).
 	st *reach.Stepper
 
-	// Warm-start state, anchored at the start state of the last full scan.
+	// Warm-start state, anchored at the start state of the last full scan;
+	// ref and slack share the scratch allocation.
 	ref       mat.Vec   // anchor x0
 	haveRef   bool      // anchor valid
 	slack     []float64 // slack[t]: safe-shift budget of step t (1..safeSteps)
@@ -62,28 +70,34 @@ type Estimator struct {
 // set. initRadius is the radius of the ball bounding estimate noise around
 // the trusted initial state (Sec. 3.3.1); pass 0 for exact estimates. All
 // dimension checks happen here so the per-step search path is validation-
-// free (and therefore allocation- and panic-free).
+// free (and therefore allocation- and panic-free once the first search
+// has allocated the scratch).
 func New(an *reach.Analysis, safe geom.Box, initRadius float64) (*Estimator, error) {
 	if initRadius < 0 {
 		return nil, fmt.Errorf("deadline: negative initial radius %v", initRadius)
 	}
-	n := an.StateDim()
-	if safe.Dim() != n {
+	if n := an.StateDim(); safe.Dim() != n {
 		return nil, fmt.Errorf("deadline: safe set dimension %d, want %d", safe.Dim(), n)
 	}
-	st, err := an.Stepper(mat.NewVec(n), initRadius)
-	if err != nil {
-		return nil, err
-	}
-	return &Estimator{
-		an:         an,
-		safe:       safe,
-		initRadius: initRadius,
-		st:         st,
-		ref:        mat.NewVec(n),
-		slack:      make([]float64, an.Horizon()+1),
-	}, nil
+	return &Estimator{an: an, safe: safe, initRadius: initRadius}, nil
 }
+
+// allocScratch allocates the search scratch: the stepper, and one slab
+// holding the anchor vector and the per-step slack table.
+func (e *Estimator) allocScratch() error {
+	n := e.an.StateDim()
+	st, err := e.an.Stepper(mat.NewVec(n), e.initRadius)
+	if err != nil {
+		return err
+	}
+	buf := make([]float64, n+e.an.Horizon()+1)
+	e.st, e.ref, e.slack = st, buf[:n:n], buf[n:]
+	return nil
+}
+
+// HasScratch reports whether the estimator has allocated its search
+// scratch, which it does on its first search.
+func (e *Estimator) HasScratch() bool { return e.st != nil }
 
 // Safe returns the safe state set.
 func (e *Estimator) Safe() geom.Box { return e.safe }
@@ -140,6 +154,12 @@ func (e *Estimator) FromState(x0 mat.Vec) int {
 // fullScan runs the complete forward search from x0, recording the
 // per-step safe-shift certificates and re-anchoring the warm start.
 func (e *Estimator) fullScan(x0 mat.Vec) int {
+	if e.st == nil {
+		if err := e.allocScratch(); err != nil {
+			e.haveRef = false
+			return 0
+		}
+	}
 	if err := e.st.Reset(x0, e.initRadius); err != nil {
 		// Dimension fault: impossible for logger-fed states (validated at
 		// ingest); stay conservative rather than panicking mid-flight.

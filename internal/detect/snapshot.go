@@ -16,7 +16,7 @@ const (
 )
 
 // Snapshot encodes the window rule's incremental-sum state. The sum is
-// state, not cache: a recompute from the ring would be exact while the
+// state, not cache: a recompute from the logger would be exact while the
 // live sum carries up to sumRefreshEvery incremental roundings, so
 // dropping it across a restore could flip an ulp-borderline threshold
 // comparison and break decision bit-identity. Serializing the sum (plus

@@ -41,8 +41,8 @@ type Window struct {
 
 	// Incremental window-sum state (see CheckAtDims): the residual sum over
 	// steps [sumFrom, sumStep], maintained across consecutive sliding checks
-	// so the steady state touches two ring entries instead of re-reading the
-	// whole window. sumValid gates it; sinceRefresh forces a periodic exact
+	// so the steady state reads two logged residuals instead of the whole
+	// window. sumValid gates it; sinceRefresh forces a periodic exact
 	// recompute that bounds float drift.
 	sum              mat.Vec
 	sumFrom, sumStep int
@@ -146,7 +146,7 @@ func (w *Window) CheckAt(log *logger.Logger, s, win int) (alarm, ok bool, err er
 // The windowed sum is maintained incrementally: when this check's window
 // [from, s] is the previous check's window advanced by one step — slid (the
 // silent steady state) or grown in place (the run-prefix ramp) — the sum is
-// updated from the one or two ring entries that changed instead of the
+// updated from the one or two logged residuals that changed instead of the
 // whole window (see trySlide). Any other shape (window resize,
 // complementary checks at historical steps, run restart) recomputes the
 // sum exactly, as does every sumRefreshEvery-th incremental update, which
@@ -182,29 +182,21 @@ func (w *Window) CheckAtDims(log *logger.Logger, s, win int) (dims []int, ok boo
 	if w.trySlide(log, s, from) {
 		return w.threshold(s, from)
 	}
-	// Exact recompute, walking the logger's ring segments directly: same
-	// entries, same step-outer/dimension-inner summation order as summing
-	// Entry by Entry, none of the per-step call overhead. Invalidate the
-	// sum first so an early return can never leave a half-built sum marked
-	// valid.
+	// Exact recompute: the logger adds the window's residuals straight off
+	// its slab, in the same step-outer/dimension-inner order as summing
+	// Residual by Residual. Invalidate the sum first so an early return can
+	// never leave a half-built sum marked valid.
 	w.sumValid = false
 	for i := range sum {
 		sum[i] = 0
 	}
-	seg1, seg2, retained := log.EntryRange(from, s)
-	if !retained {
-		return nil, false, nil
-	}
-	for _, seg := range [2][]logger.Entry{seg1, seg2} {
-		for k := range seg {
-			r := seg[k].Residual
-			if len(r) != n {
-				return nil, false, fmt.Errorf("detect: residual dimension %d, want %d", len(r), n)
-			}
-			for i, v := range r {
-				sum[i] += v
-			}
+	if !log.AddResiduals(sum, from, s) {
+		// AddResiduals refuses a sum of the wrong dimension as well as a
+		// range the logger no longer retains; only the former is a fault.
+		if r, ok := log.Residual(s); ok && len(r) != n {
+			return nil, false, fmt.Errorf("detect: residual dimension %d, want %d", len(r), n)
 		}
+		return nil, false, nil
 	}
 	w.sumFrom, w.sumStep = from, s
 	w.sumValid = true
@@ -216,14 +208,14 @@ func (w *Window) CheckAtDims(log *logger.Logger, s, win int) (dims []int, ok boo
 // [from, s] is the previous sum's window advanced by one step and the
 // refresh budget has room. Two shapes qualify: the steady slide (both ends
 // advanced — the sum gains the entering residual at s and loses the leaving
-// one at from−1, touching two ring entries instead of the whole window) and
-// the ramp growth (start pinned, only the end advanced — the run prefix
+// one at from−1, reading two logged residuals instead of the whole window)
+// and the ramp growth (start pinned, only the end advanced — the run prefix
 // before step w_m, where the window still covers the whole history; the sum
 // just gains the entering residual). A grown sum is even bitwise equal to
 // the exact recompute whenever the previous sum was one, since appending
 // one term to a left-to-right accumulation is the same operation sequence.
 // The leaving step from−1 = s−win−1 ≥ t−w_m−1 is always still retained (the
-// logger's ring is sized exactly so it is); the lookups only miss on a
+// logger's slab is sized exactly so it is); the lookups only miss on a
 // logic bug upstream, and then the caller just falls back to the exact
 // recompute.
 func (w *Window) trySlide(log *logger.Logger, s, from int) bool {
@@ -234,22 +226,20 @@ func (w *Window) trySlide(log *logger.Logger, s, from int) bool {
 		return false
 	}
 	n := len(w.tau)
-	eNew, okN := log.Entry(s)
-	if !okN || len(eNew.Residual) != n {
+	rn, okN := log.Residual(s)
+	if !okN || len(rn) != n {
 		return false
 	}
-	rn := eNew.Residual
 	sum := w.sum
 	if from == w.sumFrom {
 		for i := range sum {
 			sum[i] += rn[i]
 		}
 	} else {
-		eOld, okO := log.Entry(from - 1)
-		if !okO || len(eOld.Residual) != n {
+		ro, okO := log.Residual(from - 1)
+		if !okO || len(ro) != n {
 			return false
 		}
-		ro := eOld.Residual
 		for i := range sum {
 			sum[i] += rn[i] - ro[i]
 		}

@@ -124,6 +124,57 @@ func benchFleetTicks(b *testing.B, ests, us [][]mat.Vec) {
 // one-time startup transient.
 const benchWarmupTicks = 50
 
+// addStreamModels are the plants of BenchmarkFleetAddStream's rows: the
+// three closed-loop benchmark plants and the 12-state quadrotor.
+var addStreamModels = []string{"aircraft-pitch", "vehicle-turning", "dc-motor", "quadrotor"}
+
+// BenchmarkFleetAddStream measures stream set-up and footprint per plant:
+// one op builds an adaptive detector (sim.Detector) and registers it
+// (AddStream), the per-stream work of opening a session once the plant's
+// shared tables exist. Engines are swapped out of the timed region every
+// 2048 streams so live memory stays bounded at any b.N. The B/stream
+// metric is the live heap one warmed stream holds (see streamFootprint),
+// measured once per row outside the timed region.
+func BenchmarkFleetAddStream(b *testing.B) {
+	const perEngine = 2048
+	for _, name := range addStreamModels {
+		m := models.ByName(name)
+		perStream := 0.0
+		b.Run("model="+name, func(b *testing.B) {
+			if perStream == 0 {
+				perStream = streamFootprint(b, m)
+			}
+			ids := make([]string, perEngine)
+			for i := range ids {
+				ids[i] = fmt.Sprintf("%s-%05d", name, i)
+			}
+			var eng *Engine
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%perEngine == 0 {
+					b.StopTimer()
+					if eng != nil {
+						eng.Close()
+					}
+					eng = New(Config{})
+					b.StartTimer()
+				}
+				det, err := sim.Detector(sim.Config{Model: m, Strategy: sim.Adaptive})
+				if err != nil {
+					b.Fatalf("Detector: %v", err)
+				}
+				if _, err := eng.AddStream(ids[i%perEngine], det, nil); err != nil {
+					b.Fatalf("AddStream: %v", err)
+				}
+			}
+			b.StopTimer()
+			eng.Close()
+			b.ReportMetric(perStream, "B/stream")
+		})
+	}
+}
+
 // BenchmarkNaiveSteps is the baseline the fleet is judged against: the
 // obvious one-goroutine-per-stream design, each stream goroutine stepping
 // its own detector behind a pair of channels, ticked in lockstep. One op

@@ -33,7 +33,6 @@ import (
 	"math"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,11 +63,12 @@ type Config struct {
 	Workers int
 	// ShardSize caps the streams grouped into one shard. <= 0, or anything
 	// above one kernel tile, means mat.BatchTile: a shard is then stepped
-	// as one batch whose per-stream state (~3 KB each — logger ring,
-	// window slab, detector headers) stays cache-resident from the gather
-	// through the prediction to each stream's step. Smaller
-	// values exist so tests can spread a few streams over many shards;
-	// decisions are bit-identical at every size.
+	// as one batch whose per-stream state (2.1–10.3 KB of live heap per
+	// warmed stream, 3.6 KB on aircraft-pitch — logger slab, window slab,
+	// detector headers; BENCH_fleet.json's BenchmarkFleetAddStream rows)
+	// stays cache-resident from the gather through the prediction to each
+	// stream's step. Smaller values exist so tests can spread a few
+	// streams over many shards; decisions are bit-identical at every size.
 	ShardSize int
 	// Observer receives fleet telemetry (stream/shard gauges, step and
 	// batch counters, run-queue depth, per-shard batch latency). Nil
@@ -97,6 +97,7 @@ type Engine struct {
 	streams map[string]*Stream
 	shards  []*shard
 	open    map[string]*shard // plant key -> shard with spare capacity
+	keyBuf  []byte            // plant key scratch, reused by every addStream
 
 	runq    *runQueue
 	workers sync.WaitGroup
@@ -183,13 +184,14 @@ func (e *Engine) addStream(id string, det *core.System, onDecision func(core.Dec
 	if _, ok := e.streams[id]; ok {
 		return nil, fmt.Errorf("fleet: duplicate stream id %q", id)
 	}
-	key := plantKey(sys)
 	// The open map only ever holds shards with spare capacity: a shard is
 	// evicted the moment it fills (below), so membership alone proves this
-	// stream fits.
-	sh := e.open[key]
+	// stream fits. The key is built in reused scratch and the lookup
+	// converts it without copying; only a new shard keeps a string of it.
+	e.keyBuf = appendPlantKey(e.keyBuf[:0], sys)
+	sh := e.open[string(e.keyBuf)]
 	if sh == nil {
-		sh = e.newShard(key, sys)
+		sh = e.newShard(string(e.keyBuf), sys)
 	}
 	slot := sh.nstreams
 	n, m := sys.StateDim(), sys.InputDim()
@@ -238,7 +240,7 @@ func (e *Engine) addStream(id string, det *core.System, onDecision func(core.Dec
 		// Full: drop it from the open map immediately so the next AddStream
 		// for this plant goes straight to a fresh shard instead of re-probing
 		// a shard that can never admit another stream.
-		delete(e.open, key)
+		delete(e.open, sh.key)
 	}
 	e.streams[id] = s
 	if e.o.Enabled() {
@@ -275,6 +277,7 @@ func (e *Engine) newShard(key string, sys *lti.System) *shard {
 	n, m := sys.StateDim(), sys.InputDim()
 	sh := &shard{
 		eng:       e,
+		key:       key,
 		idx:       len(e.shards),
 		owner:     len(e.shards) % e.cfg.Workers,
 		sys:       sys,
@@ -543,6 +546,7 @@ func (s *Stream) noteStep() { s.steps++ }
 // batches by one worker at a time.
 type shard struct {
 	eng   *Engine
+	key   string // plant key (see appendPlantKey), for the open map
 	idx   int
 	owner int // preferred worker (idx mod Workers); see runQueue
 	sys   *lti.System
@@ -830,31 +834,30 @@ func (q *runQueue) close() {
 	q.cond.Broadcast()
 }
 
-// plantKey fingerprints the prediction-relevant plant content: state and
-// input dimensions plus the exact bit patterns of A and B. Streams share a
-// shard only when their predictions are computed from bitwise-identical
-// matrices, so sharding can never perturb results. C and Dt are deliberately
-// excluded — the batch kernel computes A x + B u and nothing else.
-func plantKey(sys *lti.System) string {
+// appendPlantKey appends the fingerprint of the prediction-relevant plant
+// content to b: state and input dimensions plus the exact bit patterns of
+// A and B. Streams share a shard only when their predictions are computed
+// from bitwise-identical matrices, so sharding can never perturb results.
+// C and Dt are deliberately excluded — the batch kernel computes A x + B u
+// and nothing else.
+func appendPlantKey(b []byte, sys *lti.System) []byte {
 	n, m := sys.StateDim(), sys.InputDim()
-	var b strings.Builder
-	b.Grow(8 + 17*(n*n+n*m))
-	b.WriteString(strconv.Itoa(n))
-	b.WriteByte('x')
-	b.WriteString(strconv.Itoa(m))
+	b = strconv.AppendInt(b, int64(n), 10)
+	b = append(b, 'x')
+	b = strconv.AppendInt(b, int64(m), 10)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			b.WriteByte(':')
-			b.WriteString(strconv.FormatUint(math.Float64bits(sys.A.At(i, j)), 16))
+			b = append(b, ':')
+			b = strconv.AppendUint(b, math.Float64bits(sys.A.At(i, j)), 16)
 		}
 	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < m; j++ {
-			b.WriteByte(';')
-			b.WriteString(strconv.FormatUint(math.Float64bits(sys.B.At(i, j)), 16))
+			b = append(b, ';')
+			b = strconv.AppendUint(b, math.Float64bits(sys.B.At(i, j)), 16)
 		}
 	}
-	return b.String()
+	return b
 }
 
 // StreamSeed derives a deterministic per-stream seed from a fleet-level

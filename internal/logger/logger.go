@@ -11,7 +11,10 @@
 //
 // The sliding-window size is fixed at the maximum detection window w_m
 // (Sec. 4.3) so both the Adaptive Detector and the Deadline Estimator always
-// find the samples they need, however the detection window moves.
+// find the samples they need, however the detection window moves. The
+// window is stored as one pointer-free slab of w_m+2 slots, each holding a
+// step's estimate and residual side by side; entries are views into it
+// (see Logger), and AddResiduals sums a step range straight off it.
 package logger
 
 import (
@@ -21,7 +24,9 @@ import (
 	"repro/internal/mat"
 )
 
-// Entry is one logged control step.
+// Entry is one logged control step, viewed in place: Estimate and Residual
+// alias the logger's slab (see Logger), so an Entry stays valid exactly as
+// long as the logger retains its step.
 type Entry struct {
 	Step     int
 	Estimate mat.Vec // state estimate x̂_t as delivered by the sensors
@@ -55,24 +60,31 @@ func (s Status) String() string {
 
 // Logger records estimates and residuals over the sliding window.
 //
-// Storage is a fixed ring of w_m+2 entries whose Estimate/Residual vectors
-// are preallocated once at construction and written in place, so the
-// steady-state Observe path performs zero heap allocations. Entries handed
-// out by Entry, Observe, and Residuals alias this ring storage: they stay
-// valid exactly as long as the protocol retains the step (i.e. until it is
-// Released) — callers that need a sample beyond its release point must
-// clone it.
+// Storage is one pointer-free slab of (w_m+2)·2n float64 values, allocated
+// once at construction and written in place, so the steady-state Observe
+// path performs zero heap allocations. Slot i holds a step's estimate at
+// offset i·2n and its residual right after it, so the steps a silent
+// detection step visits come in one contiguous span each: the new step
+// writes both halves of its slot, and the trusted-estimate read at t−w−1
+// shares its slot with the residual leaving the sliding window sum. The
+// slots form a ring: start is the oldest retained step's slot, and each
+// slot's step follows from start, count and nextStep, so nothing per slot
+// but the floats is stored. Entries handed out by Entry, Observe, and
+// Residuals are views into the slab: they stay valid exactly as long as
+// the protocol retains the step (i.e. until it is Released), and the
+// entry Observe returns only until the next Observe — callers that need a
+// sample beyond that must clone it.
 type Logger struct {
 	sys      *lti.System
-	maxWin   int     // w_m
-	ring     []Entry // fixed capacity maxWin+2, vectors preallocated
-	start    int     // ring index of the oldest retained entry
-	count    int     // retained entries
+	maxWin   int       // w_m
+	n        int       // state dimension; a slot is 2n values
+	slab     []float64 // (w_m+2) slots of estimate then residual
+	start    int       // slot of the oldest retained step
+	count    int       // retained steps
 	nextStep int
-	prevEst  mat.Vec // last estimate (prediction input); aliases its ring slot
+	last     Entry   // view of the newest step, returned by Observe
 	pred     mat.Vec // scratch: one-step model prediction
 	zeroU    mat.Vec // all-zero input for nil transitionU (never written)
-	hasPrev  bool
 	released int
 }
 
@@ -82,28 +94,48 @@ func New(sys *lti.System, maxWin int) *Logger {
 		panic(fmt.Sprintf("logger: maximum window %d must be >= 1", maxWin))
 	}
 	n := sys.StateDim()
-	ring := make([]Entry, maxWin+2)
-	// The ring's vectors live in one flat backing array with each entry's
-	// estimate and residual adjacent, so the detection hot path touches one
-	// contiguous span per step it visits instead of chasing per-entry
-	// allocations — with thousands of detector streams the ring is the bulk
-	// of the per-step memory traffic, and the steps a silent step visits
-	// come in estimate/residual pairs: the new entry writes both halves of
-	// one span, and the trusted-estimate read at t−w−1 shares its span with
-	// the residual leaving the sliding window sum. The capped subslices keep
-	// an accidental append from bleeding into the neighboring half.
-	flat := make([]float64, len(ring)*2*n)
-	for i := range ring {
-		ring[i].Estimate = flat[i*2*n : i*2*n+n : i*2*n+n]
-		ring[i].Residual = flat[i*2*n+n : (i+1)*2*n : (i+1)*2*n]
-	}
 	return &Logger{
 		sys:    sys,
 		maxWin: maxWin,
-		ring:   ring,
+		n:      n,
+		slab:   make([]float64, (maxWin+2)*2*n),
 		pred:   mat.NewVec(n),
 		zeroU:  mat.NewVec(sys.InputDim()),
 	}
+}
+
+// slots returns the ring capacity, w_m+2 steps.
+func (l *Logger) slots() int { return l.maxWin + 2 }
+
+// slot returns the ring slot of a retained step; ok is false when the
+// step is released or not yet observed.
+func (l *Logger) slot(step int) (int, bool) {
+	k := step - (l.nextStep - l.count)
+	if k < 0 || k >= l.count {
+		return 0, false
+	}
+	slot := l.start + k
+	if slot >= l.slots() {
+		slot -= l.slots()
+	}
+	return slot, true
+}
+
+// offset returns the slab offset of a retained step's slot.
+func (l *Logger) offset(step int) (int, bool) {
+	slot, ok := l.slot(step)
+	return slot * 2 * l.n, ok
+}
+
+// estimateAt and residualAt view the two halves of the slot at slab offset
+// off. The capped subslices keep an accidental append from bleeding into
+// the neighboring half.
+func (l *Logger) estimateAt(off int) mat.Vec {
+	return l.slab[off : off+l.n : off+l.n]
+}
+
+func (l *Logger) residualAt(off int) mat.Vec {
+	return l.slab[off+l.n : off+2*l.n : off+2*l.n]
 }
 
 // MaxWindow returns w_m.
@@ -117,7 +149,8 @@ func (l *Logger) Len() int { return l.count }
 // pass x̂_t and u_{t−1}, so the residual is
 // |x̂_t − (A x̂_{t−1} + B u_{t−1})| exactly as Sec. 5 defines it. A nil
 // transitionU is treated as zero input. For the first step there is no
-// prediction, so the residual is zero.
+// prediction, so the residual is zero. The returned entry is the logger's
+// view of the new step, rewritten by the next Observe.
 //
 // A mismatched estimate or input dimension is a configuration fault: it is
 // returned as an error without logging anything, so the control loop can
@@ -137,8 +170,8 @@ func (l *Logger) Observe(estimate, transitionU mat.Vec) (*Entry, error) {
 // the first observation pred is ignored (there is no prediction yet and
 // the residual is zero), so callers may pass scratch.
 func (l *Logger) ObservePredicted(estimate, pred mat.Vec) (*Entry, error) {
-	if len(pred) != l.sys.StateDim() {
-		return nil, fmt.Errorf("logger: prediction dimension %d, want %d", len(pred), l.sys.StateDim())
+	if len(pred) != l.n {
+		return nil, fmt.Errorf("logger: prediction dimension %d, want %d", len(pred), l.n)
 	}
 	return l.observe(estimate, nil, pred)
 }
@@ -148,52 +181,50 @@ func (l *Logger) ObservePredicted(estimate, pred mat.Vec) (*Entry, error) {
 // prediction. Keeping one implementation guarantees the batched and the
 // standalone paths can never drift apart.
 func (l *Logger) observe(estimate, transitionU, pred mat.Vec) (*Entry, error) {
-	if len(estimate) != l.sys.StateDim() {
-		return nil, fmt.Errorf("logger: estimate dimension %d, want %d", len(estimate), l.sys.StateDim())
+	if len(estimate) != l.n {
+		return nil, fmt.Errorf("logger: estimate dimension %d, want %d", len(estimate), l.n)
 	}
 	// Release: keep exactly the sliding window [t − w_m − 1, t] by
-	// recycling the oldest ring slot once the ring is full.
-	idx := l.start + l.count
-	if idx >= len(l.ring) {
-		idx -= len(l.ring)
+	// recycling the oldest slot once the ring is full. The newest slot,
+	// which holds the prediction input, is never the one recycled: the
+	// ring holds w_m+2 ≥ 3 steps.
+	prev := l.PrevEstimate()
+	slot := l.start + l.count
+	if slot >= l.slots() {
+		slot -= l.slots()
 	}
-	if l.count == len(l.ring) {
-		idx = l.start
+	if l.count == l.slots() {
+		slot = l.start
 		l.start++
-		if l.start == len(l.ring) {
+		if l.start == l.slots() {
 			l.start = 0
 		}
 		l.count--
 		l.released++
 	}
 
-	e := &l.ring[idx]
-	e.Step = l.nextStep
-	estimate.CopyTo(e.Estimate)
-	if l.hasPrev {
+	off := slot * 2 * l.n
+	est, res := l.estimateAt(off), l.residualAt(off)
+	estimate.CopyTo(est)
+	if prev != nil {
 		if pred == nil {
 			u := transitionU
 			if u == nil {
 				u = l.zeroU
 			}
-			l.sys.PredictTo(l.pred, l.prevEst, u)
+			l.sys.PredictTo(l.pred, prev, u)
 			pred = l.pred
 		}
-		mat.AbsDiffTo(e.Residual, estimate, pred)
+		mat.AbsDiffTo(res, estimate, pred)
 	} else {
-		for i := range e.Residual {
-			e.Residual[i] = 0
+		for i := range res {
+			res[i] = 0
 		}
 	}
-	// The new entry's estimate IS the next step's prediction input; alias
-	// its ring slot instead of keeping a second copy. The alias stays valid
-	// because the ring holds maxWin+2 ≥ 3 entries, so the most recent slot
-	// is never the one recycled by the next observation.
-	l.prevEst = e.Estimate
-	l.hasPrev = true
+	l.last = Entry{Step: l.nextStep, Estimate: est, Residual: res}
 	l.count++
 	l.nextStep++
-	return e, nil
+	return &l.last, nil
 }
 
 // Observed returns the lifetime number of samples logged this run — the
@@ -225,66 +256,86 @@ func (l *Logger) Counts(w int) (buffered, held int) {
 func (l *Logger) Current() int { return l.nextStep - 1 }
 
 // Entry returns the logged entry for an absolute step, if still retained.
-// The entry's vectors alias the logger's ring storage (see Logger).
+// The entry is a view into the logger's slab (see Logger).
 func (l *Logger) Entry(step int) (Entry, bool) {
-	first := l.nextStep - l.count
-	idx := step - first
-	if idx < 0 || idx >= l.count {
+	off, ok := l.offset(step)
+	if !ok {
 		return Entry{}, false
 	}
-	ri := l.start + idx
-	if ri >= len(l.ring) {
-		ri -= len(l.ring)
-	}
-	return l.ring[ri], true
+	return Entry{Step: step, Estimate: l.estimateAt(off), Residual: l.residualAt(off)}, true
 }
 
-// EntryRange returns the retained entries for the inclusive step range
-// [from, to] as up to two contiguous segments of the ring (the range may
-// wrap the ring's backing array once). Iterating a then b visits the
-// entries in ascending step order. ok is false if any step in the range is
-// no longer (or not yet) retained. The entries alias ring storage (see
-// Logger); the per-step detection hot path uses this instead of repeated
-// Entry calls so the windowed residual sum runs over contiguous memory.
-func (l *Logger) EntryRange(from, to int) (a, b []Entry, ok bool) {
-	if from > to {
-		return nil, nil, false
+// Residual returns the residual of a retained step, a view into the
+// logger's slab (see Logger); ok is false when the step is released or not
+// yet observed.
+func (l *Logger) Residual(step int) (mat.Vec, bool) {
+	off, ok := l.offset(step)
+	if !ok {
+		return nil, false
 	}
-	first := l.nextStep - l.count
-	lo := from - first
-	hi := to - first
-	if lo < 0 || hi >= l.count {
-		return nil, nil, false
+	return l.residualAt(off), true
+}
+
+// AddResiduals adds the residuals of the inclusive step range [from, to]
+// into sum: in ascending step order, dimensions inner — the order a
+// step-by-step walk over Residual adds them, so the sum is bit-identical
+// to one. It adds nothing and returns false when from > to, when any step
+// in the range is no longer (or not yet) retained, or when sum's length is
+// not the state dimension. The window detectors' exact recompute runs on
+// it, so the walk touches the slab's contiguous slots directly.
+func (l *Logger) AddResiduals(sum mat.Vec, from, to int) bool {
+	if from > to || len(sum) != l.n {
+		return false
 	}
-	ri := l.start + lo
-	if ri >= len(l.ring) {
-		ri -= len(l.ring)
+	slot, ok := l.slot(from)
+	if !ok {
+		return false
 	}
-	span := hi - lo + 1
-	if tail := len(l.ring) - ri; span > tail {
-		return l.ring[ri:], l.ring[:span-tail], true
+	if _, ok := l.slot(to); !ok {
+		return false
 	}
-	return l.ring[ri : ri+span], nil, true
+	// The range wraps the ring at most once: add the slots up to the
+	// slab's end, then the rest from slot 0.
+	k := to - from + 1
+	if tail := l.slots() - slot; k > tail {
+		l.addSlots(sum, slot, tail)
+		slot, k = 0, k-tail
+	}
+	l.addSlots(sum, slot, k)
+	return true
+}
+
+// addSlots adds the residuals of the k consecutive slots from slot on into
+// sum.
+func (l *Logger) addSlots(sum mat.Vec, slot, k int) {
+	n := l.n
+	sum = sum[:n]
+	for off, end := slot*2*n, (slot+k)*2*n; off < end; off += 2 * n {
+		for i, v := range l.slab[off+n : off+2*n] {
+			sum[i] += v
+		}
+	}
 }
 
 // PrevEstimate returns the logger's retained copy of the last observed
 // estimate — the prediction input x̂_{t−1} — or nil before the first
-// observation. The vector aliases the logger's internal storage and is
-// overwritten by the next Observe; callers must treat it as read-only.
-// The fleet engine gathers it into the batch prediction kernels instead
-// of mirroring its own copy of every stream's last estimate.
+// observation. The vector is a view into the logger's slab, overwritten
+// once its step is released; callers must treat it as read-only. The
+// fleet engine gathers it into the batch prediction kernels instead of
+// mirroring its own copy of every stream's last estimate.
 func (l *Logger) PrevEstimate() mat.Vec {
-	if !l.hasPrev {
+	off, ok := l.offset(l.nextStep - 1)
+	if !ok {
 		return nil
 	}
-	return l.prevEst
+	return l.estimateAt(off)
 }
 
 // Residuals returns the residual vectors for the inclusive step range
 // [from, to]. It returns false if any step in the range is no longer (or not
-// yet) retained. The vectors alias ring storage (see Logger); callers on
-// the per-step hot path iterate Entry directly instead to avoid the slice
-// allocation.
+// yet) retained. The vectors are views into the logger's slab (see Logger);
+// callers on the per-step hot path use Residual or AddResiduals instead to
+// avoid the slice allocation.
 func (l *Logger) Residuals(from, to int) ([]mat.Vec, bool) {
 	if from > to {
 		return nil, false
@@ -318,11 +369,11 @@ func (l *Logger) TrustedEstimate(w int) (mat.Vec, bool) {
 	if step < 0 {
 		step = 0
 	}
-	e, ok := l.Entry(step)
+	off, ok := l.offset(step)
 	if !ok {
 		return nil, false
 	}
-	return e.Estimate, true
+	return l.estimateAt(off), true
 }
 
 // StatusOf classifies step s under the current detection window w.
@@ -338,12 +389,10 @@ func (l *Logger) StatusOf(s, w int) Status {
 	}
 }
 
-// Reset clears all state for a fresh run; the ring storage is retained.
+// Reset clears all state for a fresh run; the slab is retained.
 func (l *Logger) Reset() {
 	l.start = 0
 	l.count = 0
 	l.nextStep = 0
-	l.hasPrev = false
-	l.prevEst = nil
 	l.released = 0
 }

@@ -11,33 +11,29 @@ import (
 const loggerStateVersion = 1
 
 // Snapshot encodes the logger's complete runtime state: the protocol
-// counters and every retained ring entry in ascending step order. Entry
-// values are written bit-exactly, so a Restore reproduces the residual
-// history the detectors sum over bit-for-bit.
+// counters and every retained entry in ascending step order. Entry values
+// are written bit-exactly, so a Restore reproduces the residual history
+// the detectors sum over bit-for-bit.
 //
-// The ring's physical layout (start index, wrap position) is deliberately
+// The slab's physical layout (start slot, wrap position) is deliberately
 // not part of the state: entries are written logically and re-packed from
-// slot 0 on restore. Every read path (Entry, EntryRange, the window
-// detectors' residual walks) visits entries in step order, so the physical
-// re-packing is unobservable — decisions after a restore are bit-identical
-// to decisions after the original layout.
+// slot 0 on restore. Every read path (Entry, Residual, AddResiduals) visits
+// entries in step order, so the physical re-packing is unobservable —
+// decisions after a restore are bit-identical to decisions after the
+// original layout.
 func (l *Logger) Snapshot(enc *state.Encoder) {
 	enc.Begin(state.TagLogger, loggerStateVersion)
 	enc.Int(l.maxWin)
-	enc.Int(l.sys.StateDim())
+	enc.Int(l.n)
 	enc.I64(int64(l.nextStep))
 	enc.U32(uint32(l.count))
 	enc.I64(int64(l.released))
-	enc.Bool(l.hasPrev)
-	for i := 0; i < l.count; i++ {
-		ri := l.start + i
-		if ri >= len(l.ring) {
-			ri -= len(l.ring)
-		}
-		e := &l.ring[ri]
-		enc.I64(int64(e.Step))
-		enc.F64s(e.Estimate)
-		enc.F64s(e.Residual)
+	enc.Bool(l.count > 0) // has a prediction input
+	for step := l.nextStep - l.count; step < l.nextStep; step++ {
+		off, _ := l.offset(step)
+		enc.I64(int64(step))
+		enc.F64s(l.estimateAt(off))
+		enc.F64s(l.residualAt(off))
 	}
 }
 
@@ -61,11 +57,11 @@ func (l *Logger) Restore(dec *state.Decoder) error {
 	if maxWin != l.maxWin {
 		return fmt.Errorf("logger: snapshot max window %d, want %d", maxWin, l.maxWin)
 	}
-	if dim != l.sys.StateDim() {
-		return fmt.Errorf("logger: snapshot state dimension %d, want %d", dim, l.sys.StateDim())
+	if dim != l.n {
+		return fmt.Errorf("logger: snapshot state dimension %d, want %d", dim, l.n)
 	}
-	if count < 0 || count > len(l.ring) {
-		return fmt.Errorf("logger: snapshot retains %d entries, ring capacity %d", count, len(l.ring))
+	if count < 0 || count > l.slots() {
+		return fmt.Errorf("logger: snapshot retains %d entries, ring capacity %d", count, l.slots())
 	}
 	if nextStep < int64(count) || released != nextStep-int64(count) {
 		return fmt.Errorf("logger: inconsistent snapshot counters (observed %d, retained %d, released %d)",
@@ -78,27 +74,15 @@ func (l *Logger) Restore(dec *state.Decoder) error {
 	l.count = count
 	l.nextStep = int(nextStep)
 	l.released = int(released)
-	l.hasPrev = hasPrev
 	first := l.nextStep - count
 	for i := 0; i < count; i++ {
-		e := &l.ring[i]
+		off := i * 2 * l.n
 		step := dec.I64()
-		dec.F64s(e.Estimate)
-		dec.F64s(e.Residual)
+		dec.F64s(l.estimateAt(off))
+		dec.F64s(l.residualAt(off))
 		if dec.Err() == nil && int(step) != first+i {
 			return fmt.Errorf("logger: snapshot entry %d has step %d, want %d", i, step, first+i)
 		}
-		e.Step = int(step)
 	}
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if l.hasPrev {
-		// The prediction input aliases the most recent entry's ring slot,
-		// exactly as observe maintains it.
-		l.prevEst = l.ring[count-1].Estimate
-	} else {
-		l.prevEst = nil
-	}
-	return nil
+	return dec.Err()
 }

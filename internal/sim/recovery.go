@@ -98,7 +98,7 @@ func RunWithRecovery(cfg Config) (*RecoveryOutcome, error) {
 				// then catch up over the inputs applied since.
 				trusted, ok := det.Log().TrustedEstimate(dec.Window)
 				if ok {
-					// The logger hands out a view into its ring storage;
+					// The logger hands out a view into its slab;
 					// the recovery controller outlives the entry's
 					// retention, so take a copy.
 					trusted = trusted.Clone()
