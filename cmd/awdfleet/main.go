@@ -38,7 +38,7 @@ func main() {
 	var (
 		modelName   = flag.String("model", "aircraft-pitch", "plant model shared by every stream (see awdsim -list)")
 		streams     = flag.Int("streams", 1000, "number of concurrent detector streams")
-		workers     = flag.Int("workers", 0, "shard-processing goroutines (0 = GOMAXPROCS)")
+		workers     = flag.Int("workers", 0, "shard-processing goroutines for Post samples and the earlier shards of a batch; a synchronous submit steps the shard its last sample wakes itself (0 = GOMAXPROCS)")
 		steps       = flag.Int("steps", 200, "lockstep ticks to drive the fleet")
 		tick        = flag.Duration("tick", 0, "sleep between lockstep ticks (paces a live demo; 0 = full speed)")
 		seed        = flag.Uint64("seed", 1, "fleet seed; per-stream seeds derive via fleet.StreamSeed")

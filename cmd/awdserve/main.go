@@ -34,7 +34,7 @@ func main() {
 		ckptDir     = flag.String("checkpoint-dir", "", "directory for checkpoint/restore snapshots (empty disables them)")
 		restoreFrom = flag.String("restore-from", "", "checkpoint filename under -checkpoint-dir to restore at boot")
 		maxPerTen   = flag.Int("max-streams-per-tenant", 0, "per-tenant open-stream quota (0 = unlimited)")
-		workers     = flag.Int("workers", 0, "shard-processing goroutines (0 = GOMAXPROCS)")
+		workers     = flag.Int("workers", 0, "shard-processing goroutines for Post samples and the earlier shards of a batch; a synchronous submit steps the shard its last sample wakes itself (0 = GOMAXPROCS)")
 		metricsAddr = flag.String("metrics-addr", "", "serve Prometheus /metrics and JSON /snapshot on this address")
 		maxInflight = flag.Int("max-inflight", wire.DefaultMaxInflight,
 			"per-connection cap on decided-but-unwritten responses (pipelining window backpressure)")

@@ -32,11 +32,14 @@ type BatchResult struct {
 type Batcher struct {
 	eng  *Engine
 	seen map[*Stream]struct{} // wave membership, reused across calls; made on first use
+	w    waiter               // each wave's completion signal
 }
 
 // NewBatcher returns a batcher over this engine.
 func (e *Engine) NewBatcher() *Batcher {
-	return &Batcher{eng: e}
+	b := &Batcher{eng: e}
+	b.w.arm()
+	return b
 }
 
 // Submit ingests every item and fills out (which must have the same
@@ -48,20 +51,33 @@ func (e *Engine) NewBatcher() *Batcher {
 // return is a slice-length mismatch, everything per-item lands in out.
 //
 // Items are admitted in waves within which each stream appears at most
-// once: a stream's single-sample ingest token and one-slot decision
-// channel admit one outstanding sample, so a second sample for the same
-// stream must wait until the first's decision has been collected. Waves
-// preserve order (duplicates always land in a later wave than their
-// predecessor) while letting every distinct stream in the batch be in
-// flight at once — which is what fills the shards' batched predictions.
+// once: a stream's single-sample ingest token admits one outstanding
+// sample, so a second sample for the same stream must wait until the
+// first is decided. Waves preserve order (duplicates always land in a
+// later wave than their predecessor) while letting every distinct stream
+// in the batch be in flight at once — which is what fills the shards'
+// batched predictions. Each decision lands straight in its item's out
+// cell; the call waits once per wave, for all of them.
+//
+// A shard a wave's sample finds idle is claimed and pushed onto the run
+// queue for the workers, so a multi-shard wave runs in parallel — except
+// the shard the wave's last sample claims, which the call steps on its own
+// goroutine. A one-item batch therefore never touches the run queue or
+// waits for a worker. A shard some other goroutine already owns is stepped
+// by that owner. Post callbacks of streams in a shard stepped here run on
+// the calling goroutine.
 func (b *Batcher) Submit(items []BatchItem, out []BatchResult) error {
 	if len(out) != len(items) {
 		return fmt.Errorf("fleet: batch results length %d, want %d", len(out), len(items))
 	}
+	w := &b.w
 	for start := 0; start < len(items); {
 		end := b.waveEnd(items, start)
 		// Enqueue the wave: every stream's slot fills and its shard wakes
-		// before anything blocks on a decision.
+		// before anything blocks on a decision. The last sample's claim is
+		// stepped here once nothing is left to enqueue, so the call never
+		// waits on a token while it owns a shard.
+		var last *shard
 		for i := start; i < end; i++ {
 			it := &items[i]
 			out[i] = BatchResult{}
@@ -73,20 +89,21 @@ func (b *Batcher) Submit(items []BatchItem, out []BatchResult) error {
 			default:
 				if err := it.Stream.validate(it.Estimate, it.AppliedU); err != nil {
 					out[i].Err = err
-				} else if err := it.Stream.enqueue(it.Estimate, it.AppliedU, true); err != nil {
+				} else if claimed, err := it.Stream.enqueue(it.Estimate, it.AppliedU, w, &out[i]); err != nil {
 					out[i].Err = err
+				} else if claimed && i == end-1 {
+					last = it.Stream.sh
+				} else if claimed {
+					b.eng.runq.push(it.Stream.sh)
 				}
 			}
 		}
-		// Collect in item order; an item that failed to enqueue has its
-		// error already and nothing in flight.
-		for i := start; i < end; i++ {
-			if out[i].Err != nil {
-				continue
-			}
-			r := <-items[i].Stream.done
-			out[i].Decision, out[i].Err = r.dec, r.err
+		if last != nil {
+			b.eng.stepClaimed(last)
 		}
+		// Wait for the wave; an item that failed to enqueue has its error
+		// already and nothing in flight.
+		w.wait()
 		start = end
 	}
 	return nil

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/mat"
+	"repro/internal/models"
 	"repro/internal/sim"
 )
 
@@ -112,6 +114,72 @@ func TestBatcherDuplicateStreams(t *testing.T) {
 	}
 }
 
+// TestBatcherOverlappingWavesNoDeadlock pins that a submitter never waits
+// on a token while it owns a shard. Two batchers share one shard and one
+// worker: A submits [T, S] while B submits [S]. A's wave claims the shard
+// at T and may then find S's token held by B, whose sample for S is
+// pending in the shard A claimed. If A kept that claim to step itself
+// after its wave, neither call would ever return; a claim made before a
+// wave's last sample goes to the workers. A wedged engine is left open:
+// Close would wait on the stuck tokens too.
+func TestBatcherOverlappingWavesNoDeadlock(t *testing.T) {
+	const rounds = 20000
+	m := models.AircraftPitch()
+	eng := New(Config{Workers: 1})
+	st, err := eng.AddStream("T", newDetector(t, m, sim.Adaptive), nil)
+	if err != nil {
+		t.Fatalf("AddStream(T): %v", err)
+	}
+	ss, err := eng.AddStream("S", newDetector(t, m, sim.Adaptive), nil)
+	if err != nil {
+		t.Fatalf("AddStream(S): %v", err)
+	}
+	if eng.Shards() != 1 {
+		t.Fatalf("streams formed %d shards, want 1", eng.Shards())
+	}
+	ests, us := synthTrajectory(m, 23, 1)
+	submit := func(items []BatchItem, done chan<- error) {
+		bt := eng.NewBatcher()
+		out := make([]BatchResult, len(items))
+		for r := 0; r < rounds; r++ {
+			if err := bt.Submit(items, out); err != nil {
+				done <- err
+				return
+			}
+			for i := range out {
+				if out[i].Err != nil {
+					done <- fmt.Errorf("round %d item %d: %w", r, i, out[i].Err)
+					return
+				}
+			}
+		}
+		done <- nil
+	}
+	done := make(chan error, 2)
+	go submit([]BatchItem{
+		{Stream: st, Estimate: ests[0], AppliedU: us[0]},
+		{Stream: ss, Estimate: ests[0], AppliedU: us[0]},
+	}, done)
+	go submit([]BatchItem{{Stream: ss, Estimate: ests[0], AppliedU: us[0]}}, done)
+	deadline := time.After(time.Minute)
+	for k := 0; k < 2; k++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("batcher: %v", err)
+			}
+		case <-deadline:
+			t.Fatal("overlapping batch waves deadlocked: a submitter blocked on a stream token while owning an unstepped shard")
+		}
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if st.Steps() != rounds || ss.Steps() != 2*rounds {
+		t.Fatalf("steps T=%d S=%d, want %d and %d", st.Steps(), ss.Steps(), rounds, 2*rounds)
+	}
+}
+
 // TestBatcherPerItemErrors pins the per-item failure contract: a nil
 // stream, a stream from a different engine, and a dimension mismatch each
 // fail their own item while the healthy items in the same batch decide.
@@ -165,8 +233,8 @@ func TestBatcherPerItemErrors(t *testing.T) {
 
 // TestBatcherSteadyStateAllocs pins the batched submit seam itself
 // allocation-free: with warm streams and a reused items/out pair,
-// Batcher.Submit must not allocate (the decisions flow through each
-// stream's preallocated slot and channel).
+// Batcher.Submit must not allocate (the decisions land in the caller's
+// out cells, and the Batcher's own waiter signals the wave).
 func TestBatcherSteadyStateAllocs(t *testing.T) {
 	m := allModels[0]
 	eng := New(Config{Workers: 2})

@@ -2,7 +2,7 @@
 // core.System per monitored plant instance — through shared batch kernels.
 //
 // Streams whose plants are content-identical (same A and B bit patterns)
-// are grouped into shards. A worker processes a shard by gathering the
+// are grouped into shards. A shard is stepped by gathering the
 // pending streams' previous estimates and applied inputs into
 // struct-of-arrays blocks, computing every stream's one-step model
 // prediction with one cache-blocked PredictBatchTo call, and then stepping
@@ -19,12 +19,19 @@
 // fuzz tests in this package pin that equivalence for every bundled plant.
 //
 // Concurrency model: each stream admits at most one in-flight sample,
-// guarded by a one-token channel — Submit blocks the caller until the
+// guarded by its sample token — Submit blocks the caller until the
 // decision is delivered, Post hands the decision to the stream's callback.
-// A shard is enqueued on the run queue when it has pending samples and is
-// processed by exactly one worker at a time, so detector state needs no
-// locking. Close drains: every accepted sample is decided before Close
-// returns.
+// A synchronous submitter names where its decision goes when it fills the
+// ingest slot, so submitters sharing a stream never see each other's
+// decisions. A shard with pending samples is owned by exactly one
+// goroutine at a time (its queued flag), so detector state needs no
+// locking. The sample that flips the flag claims the shard, and the claim
+// goes onto the run queue for the workers — except a synchronous
+// submitter's last one: Submit, and the last sample of a Batcher wave,
+// step the shard they claimed on the calling goroutine, so a one-sample
+// submit costs no goroutine hand-off. No token acquire follows that claim,
+// so no goroutine blocks while it owns a shard (DESIGN.md §8). Close
+// drains: every accepted sample is decided before Close returns.
 package fleet
 
 import (
@@ -59,12 +66,15 @@ var (
 // has a sensible default.
 type Config struct {
 	// Workers is the number of shard-processing goroutines; <= 0 uses
-	// runtime.GOMAXPROCS(0).
+	// runtime.GOMAXPROCS(0). They step the shards Post wakes and those a
+	// Batcher wave wakes before its last sample; a synchronous submitter
+	// steps the shard its last sample wakes on its own goroutine, so
+	// Submit needs no free worker.
 	Workers int
 	// ShardSize caps the streams grouped into one shard. <= 0, or anything
 	// above one kernel tile, means mat.BatchTile: a shard is then stepped
-	// as one batch whose per-stream state (2.1–10.3 KB of live heap per
-	// warmed stream, 3.6 KB on aircraft-pitch — logger slab, window slab,
+	// as one batch whose per-stream state (1.9–10.2 KB of live heap per
+	// warmed stream, 3.4 KB on aircraft-pitch — logger slab, window slab,
 	// detector headers; BENCH_fleet.json's BenchmarkFleetAddStream rows)
 	// stays cache-resident from the gather through the prediction to each
 	// stream's step. Smaller values exist so tests can spread a few
@@ -99,8 +109,11 @@ type Engine struct {
 	open    map[string]*shard // plant key -> shard with spare capacity
 	keyBuf  []byte            // plant key scratch, reused by every addStream
 
-	runq    *runQueue
-	workers sync.WaitGroup
+	runq *runQueue
+	// steppers counts the goroutines that may be stepping a shard: the
+	// workers, plus each synchronous submitter while it steps a shard it
+	// claimed, so Close's Wait covers both.
+	steppers sync.WaitGroup
 
 	mStreams   *obs.Gauge
 	mShards    *obs.Gauge
@@ -147,7 +160,7 @@ func New(cfg Config) *Engine {
 		e.runq.depth = reg.Gauge(obs.MetricFleetQueueDepth, "shards waiting on the fleet run queue")
 	}
 	for i := 0; i < cfg.Workers; i++ {
-		e.workers.Add(1)
+		e.steppers.Add(1)
 		go e.worker(i)
 	}
 	return e
@@ -157,9 +170,11 @@ func New(cfg Config) *Engine {
 // constructed (nothing observed yet) — the engine mirrors the logger's
 // previous-estimate state and cannot reconstruct history. onDecision, if
 // non-nil, receives the decision for every sample ingested through Post;
-// it runs on a worker goroutine and must not call back into the engine
-// synchronously for the same stream. Streams with content-identical plant
-// matrices land in the same shard.
+// it runs on whichever goroutine steps the stream's shard — a worker, or a
+// synchronous submitter whose sample for another stream of the same shard
+// claimed it — and must not call back into the engine synchronously for
+// the same stream. Streams with content-identical plant matrices land in
+// the same shard.
 func (e *Engine) AddStream(id string, det *core.System, onDecision func(core.Decision, error)) (*Stream, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -209,7 +224,6 @@ func (e *Engine) addStream(id string, det *core.System, onDecision func(core.Dec
 	s.est = sh.estSlab[slot*n : (slot+1)*n]
 	s.u = sh.uSlab[slot*m : (slot+1)*m]
 	s.pred = sh.predSlab[slot*n : (slot+1)*n]
-	s.done = make(chan result, 1)
 	s.onDecision = onDecision
 	det.SetStreamID(id)
 	// Adaptive streams share the shard's deadline certificate whenever
@@ -219,7 +233,7 @@ func (e *Engine) addStream(id string, det *core.System, onDecision func(core.Dec
 	// each stream's per-step deadline search to one distance check against
 	// the shared anchor — the amortization the fleet's throughput over
 	// goroutine-per-stream execution comes from. Certificate access needs
-	// no locking: the shard is processed by one worker at a time.
+	// no locking: the shard is stepped by one goroutine at a time.
 	if est := det.Estimator(); est != nil {
 		var cert *deadline.Certificate
 		for _, c := range sh.certs {
@@ -313,7 +327,9 @@ func (e *Engine) newShard(key string, sys *lti.System) *shard {
 
 // Submit ingests one sample for the stream and blocks until its detection
 // decision is available — the synchronous per-stream API, with the same
-// contract as core.System.Step. appliedU may be nil for zero input.
+// contract as core.System.Step. appliedU may be nil for zero input. When
+// the sample finds its shard idle, the calling goroutine steps the shard
+// itself (see Stream.Submit).
 func (e *Engine) Submit(streamID string, estimate, appliedU mat.Vec) (core.Decision, error) {
 	s, err := e.lookup(streamID)
 	if err != nil {
@@ -371,17 +387,20 @@ func (e *Engine) Shards() int {
 // engines compose with lifecycle helpers).
 func (e *Engine) Close() error {
 	if !e.closed.CompareAndSwap(false, true) {
-		e.workers.Wait()
+		e.steppers.Wait()
 		return nil
 	}
 	// Sweep every stream's sample token. A token is held either by an
 	// ingest call that passed the closed check (it will fill the slot and
-	// wake its shard) or by the worker processing that sample; acquiring it
+	// wake its shard) or by the goroutine stepping that sample; acquiring it
 	// here therefore means the stream's last admitted sample has been fully
 	// decided and no ingest is mid-flight. The token is put back immediately
 	// so a Post blocked on it wakes, re-checks closed, and bounces — the
 	// sweep never strands a caller. AddStream checks closed under e.mu, so
 	// the registry snapshot below includes every stream that was admitted.
+	// The final Wait covers what a batch does after a token is released (a
+	// Post callback runs then), whether a worker or a synchronous submitter
+	// stepped it.
 	e.mu.RLock()
 	streams := make([]*Stream, 0, len(e.streams))
 	for _, s := range e.streams {
@@ -392,7 +411,7 @@ func (e *Engine) Close() error {
 		// Nothing was ever registered: there is no work to drain, so skip
 		// the token sweep and just retire the workers.
 		e.runq.close()
-		e.workers.Wait()
+		e.steppers.Wait()
 		return nil
 	}
 	for _, s := range streams {
@@ -400,12 +419,12 @@ func (e *Engine) Close() error {
 		s.tok.Unlock() //nolint:staticcheck // empty critical section is the drain barrier
 	}
 	e.runq.close()
-	e.workers.Wait()
+	e.steppers.Wait()
 	return nil
 }
 
 func (e *Engine) worker(w int) {
-	defer e.workers.Done()
+	defer e.steppers.Done()
 	for {
 		sh, ok := e.runq.popFor(w)
 		if !ok {
@@ -415,11 +434,66 @@ func (e *Engine) worker(w int) {
 	}
 }
 
-// result carries one decision from a worker to a synchronous submitter.
-type result struct {
-	dec core.Decision
-	err error
+// stepClaimed steps a shard the calling synchronous submitter claimed at
+// wake, on the caller's goroutine. The caller's own sample is still
+// pending in it, its token unreleased, so Close's sweep cannot have
+// passed it yet and the workers are still counted in steppers: the Add
+// never races Close's Wait.
+func (e *Engine) stepClaimed(sh *shard) {
+	e.steppers.Add(1)
+	sh.process()
+	e.steppers.Done()
 }
+
+// waiter is a synchronous submit call's completion signal. Each of the
+// call's samples in flight holds a count, and the call holds one more
+// while it enqueues. The call reads the result cells it named at enqueue
+// once every count is dropped. An armed waiter's done mutex is locked:
+// whoever drops the last count other than the call unlocks it, and the
+// call's wait locks it again — the token's cross-goroutine mutex hand-off,
+// which needs no allocation.
+type waiter struct {
+	left atomic.Int32
+	done sync.Mutex
+}
+
+// arm readies a new waiter: the caller's count, and done locked.
+func (w *waiter) arm() {
+	w.left.Store(1)
+	w.done.Lock()
+	//awdlint:allow lockflow -- done stays locked while the waiter is armed; finish unlocks it for wait to relock (see waiter)
+}
+
+// wait drops the caller's count, blocks until every sample enqueued under
+// w has been decided, and leaves w armed for the next wait.
+func (w *waiter) wait() {
+	if w.left.Add(-1) != 0 {
+		w.done.Lock()
+	}
+	w.left.Store(1)
+	//awdlint:allow lockflow -- relocking done re-arms the waiter; finish unlocks it (see waiter)
+}
+
+// finish drops one decided sample's count, ending the wait if it was the
+// last.
+func (w *waiter) finish() {
+	if w.left.Add(-1) == 0 {
+		w.done.Unlock()
+	}
+}
+
+// submitCall is a Stream.Submit call's waiter and result cell, pooled so
+// a submit allocates nothing.
+type submitCall struct {
+	w   waiter
+	res BatchResult
+}
+
+var submitCalls = sync.Pool{New: func() any {
+	c := new(submitCall)
+	c.w.arm()
+	return c
+}}
 
 // Stream is the per-stream handle: the registered detector plus the
 // single-sample ingest slot the engine's backpressure is built on.
@@ -430,32 +504,34 @@ type Stream struct {
 	det *core.System
 	log *logger.Logger // det.Log(), cached to shorten the gather's pointer chain
 
-	// Ingest slot, written by the token holder, read by the worker. The
-	// shard mutex orders the hand-off.
-	est, u   mat.Vec
-	syncWait bool
+	// Ingest slot, written by the token holder, read by the goroutine that
+	// steps the shard. The shard mutex orders the hand-off. A synchronous
+	// submitter sets w and res: the decision goes into *res and w is told;
+	// nil w sends it to onDecision.
+	est, u mat.Vec
+	w      *waiter
+	res    *BatchResult
 
-	// Worker-owned scratch for this stream's column of the batched
+	// Stepper-owned scratch for this stream's column of the batched
 	// prediction. The prediction input is read straight off the detector
 	// logger's retained previous estimate, so there is no mirrored state
 	// to keep in lockstep.
 	pred mat.Vec
 
 	// cert is the shard-shared deadline certificate installed as this
-	// stream's deadline source (nil for non-adaptive streams). The worker
-	// reads its re-anchor count around the stream's step and takes the
-	// pressure the step's query left, for the fleet telemetry.
+	// stream's deadline source (nil for non-adaptive streams). The stepping
+	// goroutine reads its re-anchor count around the stream's step and takes
+	// the pressure the step's query left, for the fleet telemetry.
 	cert *deadline.Certificate
 
 	// tok is the sample token: holding it (the mutex locked) is the right
 	// to fill the ingest slot. It is locked by the ingest caller and
-	// unlocked by the worker once the decision is delivered — sync.Mutex
-	// explicitly permits this cross-goroutine hand-off, and it is cheaper
-	// per sample than the equivalent one-slot channel.
+	// unlocked by the goroutine that steps the sample once it is decided —
+	// sync.Mutex explicitly permits this cross-goroutine hand-off, and it
+	// is cheaper per sample than the equivalent one-slot channel.
 	tok        sync.Mutex
-	done       chan result // capacity 1: decision hand-back for Submit
 	onDecision func(core.Decision, error)
-	steps      uint64 // written only by the processing worker
+	steps      uint64 // written only by the goroutine stepping the shard
 }
 
 // ID returns the stream's registered identifier.
@@ -463,25 +539,38 @@ func (s *Stream) ID() string { return s.id }
 
 // Steps returns the number of decisions delivered for this stream. Like
 // Detector, it is only safe to read while the stream is quiescent: no
-// sample in flight, or after Close (whose worker shutdown establishes the
-// needed ordering).
+// sample in flight, or after Close (whose token sweep and stepper wait
+// establish the needed ordering).
 func (s *Stream) Steps() uint64 { return s.steps }
 
 // Detector exposes the underlying detection system. It is only safe to
 // inspect while the stream is quiescent: no sample in flight, or after
-// Close — the engine itself steps the detector from worker goroutines.
+// Close — the engine itself steps the detector from workers and
+// synchronous submitters.
 func (s *Stream) Detector() *core.System { return s.det }
 
 // Submit ingests one sample and blocks until its decision is available.
+// If the sample finds its shard idle, Submit steps the shard on the
+// calling goroutine — with every other sample pending in it, Post samples
+// included, whose callbacks then run here too — and needs no worker;
+// otherwise the goroutine that owns the shard steps the sample and Submit
+// waits for it. Concurrent Submits on one stream are served one at a time,
+// each with the decision for its own sample.
 func (s *Stream) Submit(estimate, appliedU mat.Vec) (core.Decision, error) {
 	if err := s.validate(estimate, appliedU); err != nil {
 		return core.Decision{}, err
 	}
-	if err := s.enqueue(estimate, appliedU, true); err != nil {
+	c := submitCalls.Get().(*submitCall)
+	defer submitCalls.Put(c)
+	claimed, err := s.enqueue(estimate, appliedU, &c.w, &c.res)
+	if err != nil {
 		return core.Decision{}, err
 	}
-	r := <-s.done
-	return r.dec, r.err
+	if claimed {
+		s.eng.stepClaimed(s.sh)
+	}
+	c.w.wait()
+	return c.res.Decision, c.res.Err
 }
 
 // Post ingests one sample asynchronously; the decision goes to the
@@ -494,7 +583,11 @@ func (s *Stream) Post(estimate, appliedU mat.Vec) error {
 	if err := s.validate(estimate, appliedU); err != nil {
 		return err
 	}
-	return s.enqueue(estimate, appliedU, false)
+	claimed, err := s.enqueue(estimate, appliedU, nil, nil)
+	if claimed {
+		s.eng.runq.push(s.sh)
+	}
+	return err
 }
 
 // validate checks sample dimensions against the plant before any state is
@@ -512,18 +605,21 @@ func (s *Stream) validate(estimate, appliedU mat.Vec) error {
 }
 
 // enqueue acquires the stream's sample token, fills the ingest slot, and
-// wakes the shard. The closed check happens after the token acquire: a
-// token released by Close's drain sweep is seen together with the closed
-// flag (mutex release/acquire ordering), so an ingest call either loses
-// the race and bounces here, or wins it — and then Close cannot finish
-// its sweep until this sample has been decided and its token released by
-// the worker. Either way no admitted sample is ever stranded.
-func (s *Stream) enqueue(estimate, appliedU mat.Vec, syncWait bool) error {
+// wakes the shard, reporting whether this call claimed it (see wake): a
+// claimed shard is the caller's to step or push. A synchronous caller
+// passes its waiter and the cell its decision goes to; Post passes nil.
+// The closed check happens after the token acquire: a token released by
+// Close's drain sweep is seen together with the closed flag (mutex
+// release/acquire ordering), so an ingest call either loses the race and
+// bounces here, or wins it — and then Close cannot finish its sweep until
+// this sample has been decided and its token released by the goroutine
+// that stepped it. Either way no admitted sample is ever stranded.
+func (s *Stream) enqueue(estimate, appliedU mat.Vec, w *waiter, res *BatchResult) (claimed bool, err error) {
 	e := s.eng
 	s.tok.Lock()
 	if e.closed.Load() {
 		s.tok.Unlock()
-		return ErrClosed
+		return false, ErrClosed
 	}
 	estimate.CopyTo(s.est)
 	if appliedU == nil {
@@ -533,17 +629,19 @@ func (s *Stream) enqueue(estimate, appliedU mat.Vec, syncWait bool) error {
 	} else {
 		appliedU.CopyTo(s.u)
 	}
-	s.syncWait = syncWait
-	s.sh.wake(s)
-	//awdlint:allow lockflow -- token hand-off by design: the shard worker releases s.tok after deciding this sample (see stepBatch), which is the engine's backpressure
-	return nil
+	s.w, s.res = w, res
+	if w != nil {
+		w.left.Add(1)
+	}
+	//awdlint:allow lockflow -- token hand-off by design: the goroutine that steps the shard releases s.tok after deciding this sample (see stepBatch), which is the engine's backpressure
+	return s.sh.wake(s), nil
 }
 
-// noteStep records a delivered decision; worker-only, see Steps.
+// noteStep records a delivered decision; stepper-only, see Steps.
 func (s *Stream) noteStep() { s.steps++ }
 
 // shard is a group of streams sharing one plant model, processed as
-// batches by one worker at a time.
+// batches by one goroutine at a time.
 type shard struct {
 	eng   *Engine
 	key   string // plant key (see appendPlantKey), for the open map
@@ -555,7 +653,7 @@ type shard struct {
 	mu       sync.Mutex
 	pending  []*Stream // streams with a fresh sample awaiting processing
 	work     []*Stream // spare buffer, swapped with pending each round
-	queued   bool      // shard is on the run queue or being processed
+	queued   bool      // shard is owned: claimed, on the run queue, or being processed
 	nstreams int       // registered streams (guarded by eng.mu)
 
 	// Per-shard rollup instruments; nil when observability is disabled.
@@ -563,8 +661,9 @@ type shard struct {
 	mAlarms  *obs.Counter
 	mStreams *obs.Gauge
 
-	// Batch scratch, allocated at shard capacity; only the processing
-	// worker touches it, and the queued flag admits one worker at a time.
+	// Batch scratch, allocated at shard capacity; only the goroutine
+	// stepping the shard touches it, and the queued flag admits one at a
+	// time.
 	xb, ub, pb *mat.Batch
 	pes        []mat.Vec // gather scratch: per-stream previous estimates
 
@@ -578,32 +677,34 @@ type shard struct {
 
 	// Shared deadline certificates, one per compatible estimator
 	// configuration among the shard's adaptive streams (appended under
-	// eng.mu at registration; queried only by the shard's processing
-	// worker, through each stream's cert).
+	// eng.mu at registration; queried only by the goroutine stepping the
+	// shard, through each stream's cert).
 	certs []*deadline.Certificate
 
 	batchUS *obs.Histogram // nil when observability is disabled
 }
 
-// wake records a stream's fresh sample and enqueues the shard unless a
-// worker already owns it; the owning worker re-checks pending before
-// clearing queued, so no sample is lost in the hand-off.
-func (sh *shard) wake(s *Stream) {
+// wake records a stream's fresh sample and reports whether the caller
+// claimed the shard: it found the shard unowned and flipped queued, so
+// the caller must either step it (process) or push it onto the run queue.
+// A shard that is already owned is stepped by its owner, which re-checks
+// pending before clearing queued, so no sample is lost in the hand-off.
+func (sh *shard) wake(s *Stream) (claimed bool) {
 	sh.mu.Lock()
 	sh.pending = append(sh.pending, s)
-	enqueue := !sh.queued
+	claimed = !sh.queued
 	sh.queued = true
 	sh.mu.Unlock()
-	if enqueue {
-		sh.eng.runq.push(sh)
-	}
+	return claimed
 }
 
 // process steps the shard's pending streams as one batch: each stream holds
 // at most one pending sample, so pending never outgrows the shard, which is
-// at most one kernel tile wide. Samples that arrive while processing are
-// picked up by re-enqueueing, so the queued invariant (one worker per
-// shard) holds without holding the mutex across kernel calls.
+// at most one kernel tile wide. Its caller owns the shard: a worker that
+// popped it or the synchronous submitter that claimed it. Samples that
+// arrive while processing are picked up by pushing the shard onto the run
+// queue, so the queued invariant (one owner per shard) holds without
+// holding the mutex across kernel calls.
 func (sh *shard) process() {
 	sh.mu.Lock()
 	sh.work, sh.pending = sh.pending, sh.work[:0]
@@ -699,13 +800,14 @@ func (sh *shard) stepBatch(ss []*Stream) {
 		if obsOn && err == nil && dec.Alarmed() {
 			alarms++
 		}
-		syncWait := s.syncWait
-		s.syncWait = false
-		if syncWait {
-			// Deliver before releasing the token: the submitter blocked on
-			// done must be the one to receive this result.
-			s.done <- result{dec: dec, err: err}
+		if w := s.w; w != nil {
+			// The slot is read before the token is released: the next
+			// token holder may name another submitter's cell. finish never
+			// blocks, so neither does the goroutine stepping this shard.
+			*s.res = BatchResult{Decision: dec, Err: err}
+			s.w, s.res = nil, nil
 			s.tok.Unlock()
+			w.finish()
 		} else {
 			cb := s.onDecision
 			s.tok.Unlock()

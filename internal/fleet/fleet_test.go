@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/attack"
 	"repro/internal/core"
@@ -239,6 +241,292 @@ func TestSubmitMatchesSerial(t *testing.T) {
 			if !decisionsEqual(got, want) {
 				t.Fatalf("stream %s step %d: fleet %+v != serial %+v", id, s, got, want)
 			}
+		}
+	}
+}
+
+// TestSyncSubmitNeedsNoFreeWorker pins caller-runs stepping: with the
+// engine's only worker parked inside a Post callback on one shard,
+// Stream.Submit and a one-item Batcher.Submit for a stream of another
+// plant still decide — the submitter steps the shard its sample woke — and
+// every decision matches a serial twin.
+func TestSyncSubmitNeedsNoFreeWorker(t *testing.T) {
+	const steps = 20
+	pm, sm := models.AircraftPitch(), models.VehicleTurning()
+	eng := New(Config{Workers: 1})
+	parked := make(chan struct{}, 1)
+	release := make(chan struct{})
+	var once sync.Once
+	unpark := func() { once.Do(func() { close(release) }) }
+	defer unpark()
+	if _, err := eng.AddStream("parker", newDetector(t, pm, sim.Adaptive), func(core.Decision, error) {
+		parked <- struct{}{}
+		<-release
+	}); err != nil {
+		t.Fatalf("AddStream(parker): %v", err)
+	}
+	st, err := eng.AddStream("sync", newDetector(t, sm, sim.Adaptive), nil)
+	if err != nil {
+		t.Fatalf("AddStream(sync): %v", err)
+	}
+	if eng.Shards() != 2 {
+		t.Fatalf("streams formed %d shards, want 2", eng.Shards())
+	}
+	twin := newDetector(t, sm, sim.Adaptive)
+
+	pe, pu := synthTrajectory(pm, 1, 1)
+	if err := eng.Post("parker", pe[0], pu[0]); err != nil {
+		t.Fatalf("Post: %v", err)
+	}
+	select {
+	case <-parked:
+	case <-time.After(time.Minute):
+		t.Fatal("worker never ran the parking callback")
+	}
+
+	type result struct {
+		dec core.Decision
+		err error
+	}
+	ests, us := synthTrajectory(sm, 9, steps)
+	bt := eng.NewBatcher()
+	items := make([]BatchItem, 1)
+	out := make([]BatchResult, 1)
+	for i := 0; i < steps; i++ {
+		got := make(chan result, 1)
+		go func() {
+			if i%2 == 0 {
+				dec, err := st.Submit(ests[i], us[i])
+				got <- result{dec, err}
+				return
+			}
+			items[0] = BatchItem{Stream: st, Estimate: ests[i], AppliedU: us[i]}
+			if err := bt.Submit(items, out); err != nil {
+				got <- result{err: err}
+				return
+			}
+			got <- result{out[0].Decision, out[0].Err}
+		}()
+		var r result
+		select {
+		case r = <-got:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("step %d: synchronous submit waited for the parked worker", i)
+		}
+		if r.err != nil {
+			t.Fatalf("step %d: %v", i, r.err)
+		}
+		want, err := twin.Step(ests[i], us[i])
+		if err != nil {
+			t.Fatalf("serial step %d: %v", i, err)
+		}
+		if !decisionsEqual(r.dec, want) {
+			t.Fatalf("step %d: fleet %+v != serial %+v", i, r.dec, want)
+		}
+	}
+	unpark()
+	if err := eng.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+}
+
+// submitOne submits one sample for s through Stream.Submit, or through a
+// one-item Batcher.Submit when b is non-nil.
+func submitOne(b *Batcher, s *Stream, est, u mat.Vec) (core.Decision, error) {
+	if b == nil {
+		return s.Submit(est, u)
+	}
+	out := make([]BatchResult, 1)
+	if err := b.Submit([]BatchItem{{Stream: s, Estimate: est, AppliedU: u}}, out); err != nil {
+		return core.Decision{}, err
+	}
+	return out[0].Decision, out[0].Err
+}
+
+// TestSharedStreamDecisionReachesItsSubmitter pins decision delivery when
+// two synchronous submitters share a stream, as two wire handles bound to
+// one stream do. The telemetry clock freezes the first submitter at the
+// end of the batch it steps itself: its decision is delivered and its
+// token released, but it still owns the shard. The second submitter's
+// sample then waits in that shard, so the second call must not return
+// before the first thaws, and each call must get the decision for its own
+// step. A per-stream decision slot fails this: the second call takes the
+// first one's decision at once.
+func TestSharedStreamDecisionReachesItsSubmitter(t *testing.T) {
+	m := models.VehicleTurning()
+	for _, batched := range []bool{false, true} {
+		t.Run(fmt.Sprintf("batcher=%v", batched), func(t *testing.T) {
+			var reads atomic.Int32
+			frozen := make(chan struct{})
+			thaw := make(chan struct{})
+			// stepBatch reads the clock at the start and at the end of a
+			// batch; the second reading ends the first batch.
+			clock := func() time.Time {
+				if reads.Add(1) == 2 {
+					close(frozen)
+					<-thaw
+				}
+				return time.Unix(0, 0)
+			}
+			eng := New(Config{Workers: 1, Observer: obs.NewObserver(nil, nil), Clock: clock})
+			s, err := eng.AddStream("s", newDetector(t, m, sim.Adaptive), nil)
+			if err != nil {
+				t.Fatalf("AddStream: %v", err)
+			}
+			ests, us := synthTrajectory(m, 5, 2)
+			type result struct {
+				dec core.Decision
+				err error
+			}
+			submit := func(i int, got chan<- result) {
+				var b *Batcher
+				if batched {
+					b = eng.NewBatcher()
+				}
+				dec, err := submitOne(b, s, ests[i], us[i])
+				got <- result{dec, err}
+			}
+			first, second := make(chan result, 1), make(chan result, 1)
+			go submit(0, first)
+			select {
+			case <-frozen:
+			case <-time.After(time.Minute):
+				t.Fatal("first submit never stepped its batch")
+			}
+			go submit(1, second)
+			select {
+			case r := <-second:
+				close(thaw)
+				t.Fatalf("second submit returned step %d (err %v) while its sample waited in the frozen shard", r.dec.Step, r.err)
+			case <-time.After(100 * time.Millisecond):
+			}
+			close(thaw)
+			twin := newDetector(t, m, sim.Adaptive)
+			for i, got := range []chan result{first, second} {
+				var r result
+				select {
+				case r = <-got:
+				case <-time.After(time.Minute):
+					t.Fatalf("submit %d never returned", i)
+				}
+				if r.err != nil {
+					t.Fatalf("submit %d: %v", i, r.err)
+				}
+				want, err := twin.Step(ests[i], us[i])
+				if err != nil {
+					t.Fatalf("serial step %d: %v", i, err)
+				}
+				if !decisionsEqual(r.dec, want) {
+					t.Fatalf("submit %d got %+v, want its own step %+v", i, r.dec, want)
+				}
+			}
+			if err := eng.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+		})
+	}
+}
+
+// TestConcurrentSubmittersShareStream races two synchronous submitters on
+// one stream, one through Stream.Submit and one through Batcher waves that
+// also carry a second stream, and checks that every call got the decision
+// for its own sample. The steps the calls report order their samples into
+// the one sequence the stream must have ingested; a serial twin replaying
+// that sequence must reproduce every reported decision, and a decision
+// handed to the wrong call pairs a sample with another sample's step.
+func TestConcurrentSubmittersShareStream(t *testing.T) {
+	const rounds = 2000
+	m := models.AircraftPitch()
+	eng := New(Config{Workers: 2})
+	s, err := eng.AddStream("s", newDetector(t, m, sim.Adaptive), nil)
+	if err != nil {
+		t.Fatalf("AddStream(s): %v", err)
+	}
+	om := models.DCMotorPosition()
+	other, err := eng.AddStream("other", newDetector(t, om, sim.Adaptive), nil)
+	if err != nil {
+		t.Fatalf("AddStream(other): %v", err)
+	}
+	oe, ou := synthTrajectory(om, 3, 1)
+	// Each submitter feeds its own trajectory, so the two interleave into
+	// residual jumps whose decisions depend on which sample sits at which
+	// step.
+	type call struct {
+		est, u mat.Vec
+		dec    core.Decision
+	}
+	calls := [2][]call{}
+	for g := range calls {
+		ests, us := synthTrajectory(m, uint64(40+g), rounds)
+		calls[g] = make([]call, rounds)
+		for i := range calls[g] {
+			calls[g][i] = call{est: ests[i], u: us[i]}
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := range calls[0] {
+			c := &calls[0][i]
+			dec, err := s.Submit(c.est, c.u)
+			if err != nil {
+				errs <- fmt.Errorf("Submit %d: %w", i, err)
+				return
+			}
+			c.dec = dec
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		b := eng.NewBatcher()
+		items := make([]BatchItem, 2)
+		out := make([]BatchResult, 2)
+		for i := range calls[1] {
+			c := &calls[1][i]
+			items[0] = BatchItem{Stream: other, Estimate: oe[0], AppliedU: ou[0]}
+			items[1] = BatchItem{Stream: s, Estimate: c.est, AppliedU: c.u}
+			n := 1 + i%2 // alternate one-item frames with two-item waves
+			if err := b.Submit(items[2-n:], out[:n]); err != nil {
+				errs <- fmt.Errorf("batch %d: %w", i, err)
+				return
+			}
+			for _, r := range out[:n] {
+				if r.Err != nil {
+					errs <- fmt.Errorf("batch %d: %w", i, r.Err)
+					return
+				}
+			}
+			c.dec = out[n-1].Decision
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	seq := make([]*call, 2*rounds)
+	for g := range calls {
+		for i := range calls[g] {
+			c := &calls[g][i]
+			if c.dec.Step < 0 || c.dec.Step >= len(seq) || seq[c.dec.Step] != nil {
+				t.Fatalf("submitter %d call %d reported step %d twice or out of range", g, i, c.dec.Step)
+			}
+			seq[c.dec.Step] = c
+		}
+	}
+	twin := newDetector(t, m, sim.Adaptive)
+	for k, c := range seq {
+		want, err := twin.Step(c.est, c.u)
+		if err != nil {
+			t.Fatalf("serial step %d: %v", k, err)
+		}
+		if !decisionsEqual(c.dec, want) {
+			t.Fatalf("step %d: a submitter got %+v, but its sample at that step decides %+v", k, c.dec, want)
 		}
 	}
 }

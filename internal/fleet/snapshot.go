@@ -45,10 +45,13 @@ func (e *Engine) Snapshot(enc *state.Encoder) error {
 		streams = append(streams, s)
 	}
 	sort.Slice(streams, func(i, j int) bool { return streams[i].id < streams[j].id })
-	// Quiesce: hold every token for the duration of the encode. A token is
-	// only ever held briefly (one ingest hand-off or one worker step), and
-	// no goroutine holds two, so acquiring all of them in ID order cannot
-	// deadlock.
+	// Quiesce: hold every token for the duration of the encode. A token
+	// held elsewhere belongs to an ingest call that is filling its slot or
+	// to a sample pending in a shard, and whoever owns that shard steps it
+	// and releases the token without waiting on any token: a submitter
+	// keeps only the claim its last sample makes (DESIGN.md §8). So each
+	// Lock below returns once that sample is decided, and a concurrent
+	// Snapshot takes the tokens in the same ID order.
 	for _, s := range streams {
 		s.tok.Lock()
 	}

@@ -107,7 +107,10 @@ func (s *Server) StartHTTP(addr string) (string, error) {
 			handles[i] = it.Handle
 			items[i] = fleet.BatchItem{Estimate: mat.Vec(it.Estimate), AppliedU: mat.Vec(it.Input)}
 		}
-		if err := s.IngestBatch(s.eng.NewBatcher(), handles, items, results); err != nil {
+		b := s.batcher()
+		err := s.IngestBatch(b, handles, items, results)
+		s.batchers.Put(b)
+		if err != nil {
 			httpError(w, http.StatusConflict, err)
 			return
 		}

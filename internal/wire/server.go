@@ -138,11 +138,17 @@ type Server struct {
 	tenants    map[string]int // tenant -> open stream count
 	draining   bool
 
+	// batchers recycles the Batchers of HTTP ingest requests.
+	batchers sync.Pool
+
 	ln      net.Listener
 	conns   sync.WaitGroup
 	closed  atomic.Bool
 	httpSrv *httpServer
 }
+
+// errDraining refuses ingest, Open and Restore once Drain has begun.
+var errDraining = errors.New("wire: server is draining")
 
 // NewServer returns a server over a fresh fleet engine. Call Start (or
 // StartHTTP) to accept connections and Close to shut down.
@@ -190,7 +196,7 @@ func (s *Server) Open(tenant, stream, model, strategy string, fixedWin int) (uin
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
-		return 0, errors.New("wire: server is draining")
+		return 0, errDraining
 	}
 	if have, ok := s.specs[spec.id()]; ok {
 		if have != spec {
@@ -225,16 +231,32 @@ func (s *Server) bindHandle(st *fleet.Stream) uint64 {
 	return s.nextHandle
 }
 
-// Ingest feeds one sample to the stream behind handle, as a batch of one
-// through IngestBatch, and returns its decision synchronously.
+// Ingest feeds one sample to the stream behind handle and returns its
+// decision synchronously, with IngestBatch's locking and errors for a
+// batch of one.
 func (s *Server) Ingest(handle uint64, estimate, appliedU []float64) (core.Decision, error) {
-	handles := [1]uint64{handle}
-	items := [1]fleet.BatchItem{{Estimate: estimate, AppliedU: appliedU}}
-	var out [1]fleet.BatchResult
-	if err := s.IngestBatch(s.eng.NewBatcher(), handles[:], items[:], out[:]); err != nil {
-		return core.Decision{}, err
+	s.ingestMu.RLock()
+	defer s.ingestMu.RUnlock()
+	s.mu.Lock()
+	draining := s.draining
+	st := s.handles[handle]
+	s.mu.Unlock()
+	if draining {
+		return core.Decision{}, errDraining
 	}
-	return out[0].Decision, out[0].Err
+	if st == nil {
+		return core.Decision{}, fleet.ErrUnknownStream
+	}
+	return st.Submit(estimate, appliedU)
+}
+
+// batcher returns a pooled Batcher for a request that has no connection
+// to keep one; put it back in s.batchers once its Submit has returned.
+func (s *Server) batcher() *fleet.Batcher {
+	if b, ok := s.batchers.Get().(*fleet.Batcher); ok {
+		return b
+	}
+	return s.eng.NewBatcher()
 }
 
 // IngestBatch feeds one sample per item through the fleet's batched submit
@@ -258,7 +280,7 @@ func (s *Server) IngestBatch(bt *fleet.Batcher, handles []uint64, items []fleet.
 	}
 	s.mu.Unlock()
 	if draining {
-		return errors.New("wire: server is draining")
+		return errDraining
 	}
 	return bt.Submit(items, out)
 }
@@ -361,7 +383,7 @@ func (s *Server) Restore(name string) (int, error) {
 		return 0, fmt.Errorf("wire: restore into a server with %d streams", len(s.specs))
 	}
 	if s.draining {
-		return 0, errors.New("wire: server is draining")
+		return 0, errDraining
 	}
 
 	dec := state.NewDecoder(blob)
