@@ -1,10 +1,13 @@
 // Command awdserve runs the fleet detection engine as a long-lived
 // network service: clients open per-tenant detector streams, ingest
 // samples over the compact binary protocol (or the HTTP/JSON fallback),
-// and receive each stream's decision synchronously. Checkpoint, drain,
-// and restore RPCs persist the whole fleet's runtime state through the
-// internal/state codec, so a killed server restarted with -restore-from
-// continues every decision stream bit-identically to one that never died.
+// and receive each sample's decision in request order. One goroutine
+// serves each binary connection: it decides a frame's samples, writes the
+// response, and flushes whenever the client has sent no further whole
+// frame. Checkpoint, drain, and restore RPCs persist the whole fleet's
+// runtime state through the internal/state codec, so a killed server
+// restarted with -restore-from continues every decision stream
+// bit-identically to one that never died.
 //
 // Usage:
 //
@@ -13,7 +16,8 @@
 //	awdserve -addr :7601 -checkpoint-dir /var/lib/awd -restore-from fleet.awds
 //
 // On SIGINT/SIGTERM the server drains ingest, writes a final checkpoint
-// (when -checkpoint-dir is set), and exits cleanly.
+// (when -checkpoint-dir is set), closes the connections still open, and
+// exits cleanly.
 package main
 
 import (
@@ -36,10 +40,6 @@ func main() {
 		maxPerTen   = flag.Int("max-streams-per-tenant", 0, "per-tenant open-stream quota (0 = unlimited)")
 		workers     = flag.Int("workers", 0, "shard-processing goroutines for Post samples and the earlier shards of a batch; a synchronous submit steps the shard its last sample wakes itself (0 = GOMAXPROCS)")
 		metricsAddr = flag.String("metrics-addr", "", "serve Prometheus /metrics and JSON /snapshot on this address")
-		maxInflight = flag.Int("max-inflight", wire.DefaultMaxInflight,
-			"per-connection cap on decided-but-unwritten responses (pipelining window backpressure)")
-		flushEvery = flag.Duration("flush-interval", wire.DefaultFlushInterval,
-			"max time a decided response may wait in the writer's coalescing buffer while the connection stays busy")
 	)
 	flag.Parse()
 
@@ -60,8 +60,6 @@ func main() {
 		CheckpointDir:       *ckptDir,
 		MaxStreamsPerTenant: *maxPerTen,
 		Workers:             *workers,
-		MaxInflight:         *maxInflight,
-		FlushInterval:       *flushEvery,
 		Observer:            obsrv,
 	})
 	if *restoreFrom != "" {

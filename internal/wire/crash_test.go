@@ -174,9 +174,11 @@ func TestCrashReplaySIGKILL(t *testing.T) {
 			}
 		}
 	}
-	c2.Close()
+	defer c2.Close()
 
-	// Graceful shutdown path: SIGTERM drains and writes a final checkpoint.
+	// Graceful shutdown path: SIGTERM drains, writes a final checkpoint and
+	// exits while c2 is still connected — the server ends open connections
+	// instead of waiting for their clients to hang up.
 	if err := proc2.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatalf("SIGTERM: %v", err)
 	}
@@ -188,24 +190,27 @@ func TestCrashReplaySIGKILL(t *testing.T) {
 			t.Fatalf("awdserve exit after SIGTERM: %v", err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatalf("awdserve did not exit on SIGTERM")
+		t.Fatalf("awdserve did not exit on SIGTERM with a client connected")
 	}
 	final := filepath.Join(ckptDir, DefaultCheckpointName)
 	if st, err := os.Stat(final); err != nil || st.Size() == 0 {
 		t.Fatalf("final checkpoint %s missing or empty (err=%v)", final, err)
+	}
+	// Handle 1 is the restored process's first re-Open, defs[0]'s stream.
+	if _, err := c2.Ingest(1, trajs[0][0], inputs[0]); err == nil {
+		t.Fatalf("ingest on a connection of an exited server succeeded")
 	}
 }
 
 // TestCrashReplayPipelinedSIGKILL kills a real awdserve process while a
 // pipelined client has a full in-flight window against it — the hardest
 // recovery case, since samples die in every stage: unflushed in the
-// client, queued in the server's writer, decided but unacknowledged. The
-// proof obligation: every decision the pipeline delivered before the kill
-// is a clean prefix of the never-crashed reference stream, and a process
-// restored from the mid-run checkpoint replays the whole tail — including
-// every sample that was mid-pipeline at the kill — bit-identically. The
-// server runs with explicit -flush-interval/-max-inflight, covering the
-// new flags end to end.
+// client, unread in the socket buffers, decided but still in the server's
+// write buffer, delivered but unacknowledged. The proof obligation: every
+// decision the pipeline delivered before the kill is a clean prefix of the
+// never-crashed reference stream, and a process restored from the mid-run
+// checkpoint replays the whole tail — including every sample that was
+// mid-pipeline at the kill — bit-identically.
 func TestCrashReplayPipelinedSIGKILL(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the awdserve binary")
@@ -251,9 +256,7 @@ func TestCrashReplayPipelinedSIGKILL(t *testing.T) {
 	if err := os.MkdirAll(ckptDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	proc, addr := startAwdserve(t, bin,
-		"-addr", "127.0.0.1:0", "-checkpoint-dir", ckptDir,
-		"-flush-interval", "100us", "-max-inflight", "64")
+	proc, addr := startAwdserve(t, bin, "-addr", "127.0.0.1:0", "-checkpoint-dir", ckptDir)
 	defer func() { _ = proc.Process.Kill() }()
 
 	c, err := Dial(addr)
@@ -328,8 +331,7 @@ submitting:
 	// Restore and replay the whole tail from the checkpoint — the replay
 	// covers every sample that was mid-pipeline when the process died.
 	proc2, addr2 := startAwdserve(t, bin,
-		"-addr", "127.0.0.1:0", "-checkpoint-dir", ckptDir, "-restore-from", "crash.awds",
-		"-flush-interval", "100us", "-max-inflight", "64")
+		"-addr", "127.0.0.1:0", "-checkpoint-dir", ckptDir, "-restore-from", "crash.awds")
 	defer func() { _ = proc2.Process.Kill() }()
 	c2, err := Dial(addr2)
 	if err != nil {

@@ -35,14 +35,20 @@ type Pipeline struct {
 	err error // first transport failure; sticky
 }
 
+// DefaultPipelineWindow is the in-flight window Client.Pipeline uses when
+// given none: how many samples a pipelined client runs ahead of their
+// decisions.
+const DefaultPipelineWindow = 256
+
 // Pipeline switches the connection into pipelined ingest mode with the
-// given in-flight window (<= 0 uses DefaultMaxInflight; windows beyond
-// the server's -max-inflight just move the blocking to the transport).
+// given in-flight window (<= 0 uses DefaultPipelineWindow). The server
+// queues no responses: it handles one frame at a time, so the part of a
+// window it has not read yet waits in the socket buffers.
 // deliver receives every sample's decision in submission order, on the
 // reader goroutine. Pipeline cannot fail; its error result is always nil.
 func (c *Client) Pipeline(window int, deliver func(handle uint64, d core.Decision, err error)) (*Pipeline, error) {
 	if window <= 0 {
-		window = DefaultMaxInflight
+		window = DefaultPipelineWindow
 	}
 	p := &Pipeline{
 		c:       c,

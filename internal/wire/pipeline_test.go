@@ -2,7 +2,6 @@ package wire
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/models"
@@ -13,15 +12,10 @@ import (
 // plants under all three attacks, samples streamed through the async
 // in-flight window (deliberately smaller than one step's fan-out, so the
 // window wraps constantly), with every decision delivered in submission
-// order and bit-identical to a standalone detector. A tiny server flush
-// interval keeps the coalescing timer path exercised too.
+// order and bit-identical to a standalone detector.
 func TestWirePipelinedMatchesSerial(t *testing.T) {
 	const steps = 40
-	_, addr := startServer(t, Config{
-		Workers:       2,
-		MaxInflight:   32,
-		FlushInterval: 50 * time.Microsecond,
-	})
+	_, addr := startServer(t, Config{Workers: 2})
 	c := dial(t, addr)
 	cases := openBatchCases(t, c, steps)
 

@@ -34,11 +34,14 @@
 // # Pipelining
 //
 // Responses are delivered strictly in request order, and a client may have
-// many requests in flight on one connection: the server decouples frame
-// reading from response writing, so a pipelined client pays the network
-// round trip once per window rather than once per sample. Batching
-// carries many samples in one frame for the same amortization at the
-// framing layer.
+// many requests in flight on one connection. One goroutine serves each
+// connection: it handles frames one at a time in arrival order, buffers
+// their responses, and flushes before any read that could block, that is
+// whenever the next request frame is not yet whole in its read buffer. So
+// a pipelined client pays the network round trip once per window rather
+// than once per sample, and the responses to frames that arrived together
+// leave in one write. Batching carries many samples in one frame for the
+// same amortization at the framing layer.
 package wire
 
 import (
@@ -126,6 +129,21 @@ func readFrameInto(r io.Reader, buf *[]byte) (typ byte, payload []byte, err erro
 		return 0, nil, err
 	}
 	return typ, payload, nil
+}
+
+// frameBuffered reports whether br already holds the next whole frame, so
+// that reading it cannot block. A frame larger than br's buffer never
+// counts as buffered.
+func frameBuffered(br *bufio.Reader) bool {
+	n := br.Buffered()
+	if n < 5 {
+		return false
+	}
+	hdr, err := br.Peek(5) // already buffered: Peek does not read
+	if err != nil {
+		return false
+	}
+	return uint32(n-5) >= binary.LittleEndian.Uint32(hdr[:4])
 }
 
 // appendDecision encodes a core.Decision, the body of a batchOK item.

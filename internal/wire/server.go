@@ -9,8 +9,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/fleet"
@@ -29,16 +27,6 @@ const serverStateVersion = 1
 // request does not name one.
 const DefaultCheckpointName = "fleet.awds"
 
-// DefaultMaxInflight is the per-connection cap on decided-but-unwritten
-// responses when Config.MaxInflight is zero. It bounds both the server's
-// buffering and how far a pipelined client can run ahead of its decisions.
-const DefaultMaxInflight = 256
-
-// DefaultFlushInterval is the flush coalescing deadline when
-// Config.FlushInterval is zero: a decided response never sits in the
-// writer's buffer longer than this while the connection stays busy.
-const DefaultFlushInterval = 200 * time.Microsecond
-
 // Config describes one fleet server.
 type Config struct {
 	// CheckpointDir is where Checkpoint writes and Restore reads whole-
@@ -49,33 +37,8 @@ type Config struct {
 	MaxStreamsPerTenant int
 	// Workers passes through to fleet.Config.
 	Workers int
-	// MaxInflight caps the responses a connection's writer may hold
-	// decided but unflushed; a pipelined client stalls (backpressure)
-	// beyond it. <= 0 uses DefaultMaxInflight.
-	MaxInflight int
-	// FlushInterval bounds how long a decided response may wait for
-	// coalescing while more requests keep arriving; the writer always
-	// flushes immediately when the connection goes idle. <= 0 uses
-	// DefaultFlushInterval.
-	FlushInterval time.Duration
 	// Observer receives fleet telemetry; nil disables instrumentation.
 	Observer *obs.Observer
-}
-
-// maxInflight resolves the configured in-flight window.
-func (c Config) maxInflight() int {
-	if c.MaxInflight > 0 {
-		return c.MaxInflight
-	}
-	return DefaultMaxInflight
-}
-
-// flushInterval resolves the configured coalescing deadline.
-func (c Config) flushInterval() time.Duration {
-	if c.FlushInterval > 0 {
-		return c.FlushInterval
-	}
-	return DefaultFlushInterval
 }
 
 // streamSpec is everything needed to reconstruct a stream's detector: its
@@ -137,13 +100,16 @@ type Server struct {
 	nextHandle uint64
 	tenants    map[string]int // tenant -> open stream count
 	draining   bool
+	// conns holds the open binary-protocol connections, so Close can end
+	// them; nil once Close has begun, which refuses later accepts and
+	// makes a second Close a no-op.
+	conns map[net.Conn]struct{}
 
 	// batchers recycles the Batchers of HTTP ingest requests.
 	batchers sync.Pool
 
 	ln      net.Listener
-	conns   sync.WaitGroup
-	closed  atomic.Bool
+	serving sync.WaitGroup // the accept loop and every connection goroutine
 	httpSrv *httpServer
 }
 
@@ -162,6 +128,7 @@ func NewServer(cfg Config) *Server {
 		specs:   make(map[string]streamSpec),
 		handles: make(map[uint64]*fleet.Stream),
 		tenants: make(map[string]int),
+		conns:   make(map[net.Conn]struct{}),
 	}
 }
 
@@ -460,25 +427,50 @@ func (s *Server) Start(addr string) (string, error) {
 		return "", err
 	}
 	s.ln = ln
-	s.conns.Add(1)
+	s.serving.Add(1)
 	go s.acceptLoop(ln)
 	return ln.Addr().String(), nil
 }
 
 func (s *Server) acceptLoop(ln net.Listener) {
-	defer s.conns.Done()
+	defer s.serving.Done()
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
 			return // listener closed
 		}
-		s.conns.Add(1)
+		if !s.track(conn) {
+			conn.Close() // accepted after Close collected the connections
+			continue
+		}
+		s.serving.Add(1)
 		go func() {
-			defer s.conns.Done()
-			defer conn.Close()
+			defer s.serving.Done()
+			defer s.untrack(conn)
 			s.serveConn(conn)
 		}()
 	}
+}
+
+// track registers an accepted connection for Close to end. It reports
+// false once Close has begun: that connection must be refused, since Close
+// would never see it.
+func (s *Server) track(conn net.Conn) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.conns == nil {
+		return false
+	}
+	s.conns[conn] = struct{}{}
+	return true
+}
+
+// untrack closes a finished connection and forgets it.
+func (s *Server) untrack(conn net.Conn) {
+	conn.Close()
+	s.mu.Lock()
+	delete(s.conns, conn)
+	s.mu.Unlock()
 }
 
 // connState is one connection's reusable scratch: the frame read buffer,
@@ -499,87 +491,35 @@ func newConnState(eng *fleet.Engine) *connState {
 	return &connState{enc: state.NewEncoder(), batcher: eng.NewBatcher()}
 }
 
-// outFrame is one queued response: type plus a payload buffer the writer
-// owns until it recycles it through the connection's free list.
-type outFrame struct {
-	typ     byte
-	payload []byte
-}
-
-// serveConn runs one connection. The reader half decodes and handles
-// request frames strictly in arrival order — which is what guarantees
-// responses are delivered in request order — and hands each response to
-// the writer half over a bounded queue; the queue's capacity is the
-// connection's in-flight window, so a pipelined client that outruns the
-// writer blocks here instead of ballooning server memory. Protocol errors
+// serveConn runs one connection on one goroutine: read a request frame,
+// handle it, write its response into the connection's buffered writer.
+// Frames are handled strictly in arrival order, which is what delivers
+// responses in request order. The writer is flushed before every read that
+// could block, that is whenever the next request frame is not already
+// whole in the read buffer: responses to frames that arrived together
+// leave in one write, and no response waits on bytes the client has not
+// sent. A client that stops reading blocks the write, so the connection
+// stops reading frames (backpressure through the socket). Protocol errors
 // are answered with MsgError and the loop continues; transport errors end
 // the connection.
 func (s *Server) serveConn(conn net.Conn) {
 	br := bufio.NewReader(conn)
+	bw := bufio.NewWriter(conn)
 	cs := newConnState(s.eng)
-	inflight := s.cfg.maxInflight()
-	out := make(chan outFrame, inflight)
-	free := make(chan []byte, inflight)
-	writerDone := make(chan struct{})
-	go s.writeLoop(conn, out, free, writerDone)
 	for {
 		typ, payload, err := readFrameInto(br, &cs.frame)
 		if err != nil {
-			break
+			return
 		}
 		rtyp, rp := s.handleReq(cs, typ, payload)
-		// rp aliases cs.enc's buffer, which the next handleReq reuses, so
-		// the queued copy lives in a recycled buffer from the free list.
-		var buf []byte
-		select {
-		case buf = <-free:
-		default:
+		if err := writeFrame(bw, rtyp, rp); err != nil {
+			return
 		}
-		out <- outFrame{typ: rtyp, payload: append(buf[:0], rp...)}
-	}
-	close(out)
-	<-writerDone
-}
-
-// writeLoop drains one connection's response queue with coalesced
-// flushes: it flushes when the queue goes empty (the client is blocked
-// waiting on a decision) or when flushInterval has elapsed since the last
-// flush (bounding decision latency while the pipeline stays saturated);
-// between those points bufio batches frames into large writes. After a
-// write error it closes the connection — unblocking the reader — and
-// keeps draining the queue so the reader never blocks on send.
-func (s *Server) writeLoop(conn net.Conn, out <-chan outFrame, free chan<- []byte, done chan<- struct{}) {
-	defer close(done)
-	bw := bufio.NewWriter(conn)
-	interval := s.cfg.flushInterval()
-	broken := false
-	lastFlush := time.Now()
-	for f := range out {
-		if !broken {
-			if err := writeFrame(bw, f.typ, f.payload); err != nil {
-				broken = true
-				conn.Close()
-			}
-		}
-		// Recycle the buffer; never blocks because free's capacity matches
-		// the queue's.
-		select {
-		case free <- f.payload:
-		default:
-		}
-		if broken {
-			continue
-		}
-		if len(out) == 0 || time.Since(lastFlush) >= interval {
+		if !frameBuffered(br) {
 			if err := bw.Flush(); err != nil {
-				broken = true
-				conn.Close()
+				return
 			}
-			lastFlush = time.Now()
 		}
-	}
-	if !broken {
-		bw.Flush()
 	}
 }
 
@@ -675,18 +615,32 @@ func (s *Server) handleReq(cs *connState, typ byte, payload []byte) (byte, []byt
 	}
 }
 
-// Close shuts the listeners, waits out in-flight connections, and closes
-// the fleet engine (draining every stream's last sample).
+// Close shuts the listeners, closes every open connection, waits for
+// their goroutines to finish the frame each is handling, and closes the
+// fleet engine (draining every stream's last sample). Closing twice is a
+// no-op.
 func (s *Server) Close() error {
-	if !s.closed.CompareAndSwap(false, true) {
+	// Collect under the lock, close outside it: closing is network I/O.
+	s.mu.Lock()
+	if s.conns == nil {
+		s.mu.Unlock()
 		return nil
 	}
+	conns := make([]net.Conn, 0, len(s.conns))
+	for conn := range s.conns {
+		conns = append(conns, conn)
+	}
+	s.conns = nil
+	s.mu.Unlock()
 	if s.ln != nil {
 		s.ln.Close()
 	}
 	if s.httpSrv != nil {
 		s.httpSrv.close()
 	}
-	s.conns.Wait()
+	for _, conn := range conns {
+		conn.Close()
+	}
+	s.serving.Wait()
 	return s.eng.Close()
 }
