@@ -33,6 +33,7 @@ fuzz-smoke:
 	$(GO) test ./internal/fleet/ -run '^$$' -fuzz '^FuzzBatchMatchesSerial$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzSnapshotRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzFrameRoundTrip$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzBurstMatchesSplit$$' -fuzztime $(FUZZTIME)
 
 # Re-measure the detector-step overhead numbers ledgered in BENCH_obs.json:
 # the detector step with the observer off, metrics-only and ring-traced,

@@ -2,9 +2,10 @@
 // network service: clients open per-tenant detector streams, ingest
 // samples over the compact binary protocol (or the HTTP/JSON fallback),
 // and receive each sample's decision in request order. One goroutine
-// serves each binary connection: it decides a frame's samples, writes the
-// response, and flushes whenever the client has sent no further whole
-// frame. Checkpoint, drain, and restore RPCs persist the whole fleet's
+// serves each binary connection: it decides the samples of every ingest
+// frame already whole in its read buffer as one batch, writes one
+// response per frame, and flushes whenever the client has sent no
+// further whole frame. Checkpoint, drain, and restore RPCs persist the whole fleet's
 // runtime state through the internal/state codec, so a killed server
 // restarted with -restore-from continues every decision stream
 // bit-identically to one that never died.

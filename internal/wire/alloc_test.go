@@ -41,18 +41,29 @@ func TestReadFrameIntoAllocs(t *testing.T) {
 }
 
 // TestServerBatchIngestSteadyStateAllocs pins the whole server-side
-// ingest path — frame decode, handle resolution, fleet submit, decision
-// encode — at 0 allocs/op once the connection scratch is warm. n=1 is the
-// batch of one that every single-sample call sends, the per-sample cost a
-// saturated connection pays; n=8 carries one silent sample for each of
-// several streams. Any allocation here is a throughput regression at
-// fleet scale.
+// ingest path — frame read and decode, handle resolution, fleet submit,
+// decision encode and response write — at 0 allocs/op once the
+// connection scratch is warm. n=1 is the batch of one that every
+// single-sample call sends, the per-sample cost a saturated connection
+// pays; n=8 carries one silent sample for each of several streams in one
+// frame; burst=16 is sixteen one-item frames that arrived in one read, the
+// way a pipelined client's window does, answered as one group. Any
+// allocation here is a throughput regression at fleet scale.
 func TestServerBatchIngestSteadyStateAllocs(t *testing.T) {
-	for _, n := range []int{1, 8} {
-		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		streams       int
+		frameEachItem bool
+	}{
+		{"n=1", 1, false},
+		{"n=8", 8, false},
+		{"burst=16", 16, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			srv := NewServer(Config{Workers: 2})
 			defer srv.Close()
 			m := models.ByName("aircraft-pitch")
+			n := tc.streams
 			handles := make([]uint64, n)
 			ests := make([][]float64, n)
 			inputs := make([][]float64, n)
@@ -67,22 +78,50 @@ func TestServerBatchIngestSteadyStateAllocs(t *testing.T) {
 				inputs[i] = make([]float64, m.Sys.InputDim())
 			}
 			enc := state.NewEncoder()
-			appendIngestBatch(enc, handles, ests, inputs)
-			payload := enc.Bytes()
-			cs := newConnState(srv.Engine())
-			for i := 0; i < 8; i++ { // warm the scratch buffers
-				if typ, _ := srv.handleReq(cs, MsgIngestBatch, payload); typ != MsgDecisionBatch {
-					t.Fatalf("warm-up response type 0x%02x", typ)
+			var req []byte
+			frames := 1
+			if tc.frameEachItem {
+				frames = n
+				for i := range handles {
+					enc.Reset()
+					appendIngestBatch(enc, handles[i:i+1], ests[i:i+1], inputs[i:i+1])
+					req = append(req, frameBytes(t, MsgIngestBatch, enc.Bytes())...)
 				}
+			} else {
+				appendIngestBatch(enc, handles, ests, inputs)
+				req = frameBytes(t, MsgIngestBatch, enc.Bytes())
 			}
-			avg := testing.AllocsPerRun(100, func() {
-				typ, _ := srv.handleReq(cs, MsgIngestBatch, payload)
-				if typ != MsgDecisionBatch {
+			cs := newConnState(srv.Engine())
+			link := bytes.NewReader(req)
+			br := bufio.NewReader(link)
+			var resp bytes.Buffer
+			bw := bufio.NewWriter(&resp)
+			serve := func() {
+				link.Reset(req)
+				br.Reset(link)
+				resp.Reset()
+				typ, payload, err := readFrameInto(br, &cs.frame)
+				if err != nil || typ != MsgIngestBatch {
+					t.Fatalf("read request: typ=0x%02x err=%v", typ, err)
+				}
+				if err := srv.serveIngest(cs, br, bw, payload); err != nil {
+					t.Fatalf("serveIngest: %v", err)
+				}
+				if err := bw.Flush(); err != nil {
+					t.Fatalf("flush: %v", err)
+				}
+				if br.Buffered() != 0 || len(cs.group) != frames {
+					t.Fatalf("group of %d frames left %d bytes unread, want %d frames", len(cs.group), br.Buffered(), frames)
+				}
+				if typ := resp.Bytes()[4]; typ != MsgDecisionBatch {
 					t.Fatalf("response type 0x%02x", typ)
 				}
-			})
-			if avg > 0 {
-				t.Fatalf("steady-state batch ingest allocates %.2f per batch, want 0", avg)
+			}
+			for i := 0; i < 8; i++ { // warm the scratch buffers
+				serve()
+			}
+			if avg := testing.AllocsPerRun(100, serve); avg > 0 {
+				t.Fatalf("steady-state batch ingest allocates %.2f per group, want 0", avg)
 			}
 		})
 	}

@@ -3,13 +3,16 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"net"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/models"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/state"
 )
@@ -221,4 +224,118 @@ func TestCloseEndsIdleConnections(t *testing.T) {
 		t.Fatalf("a connection accepted after Close was tracked")
 	}
 	late.Close()
+}
+
+// pipeTo serves the server end of an in-memory pipe on srv, as the accept
+// loop would, and returns the client end. Cleanup hangs up and waits for
+// the connection goroutine.
+func pipeTo(tb testing.TB, srv *Server) net.Conn {
+	tb.Helper()
+	client, server := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.serveConn(server)
+	}()
+	tb.Cleanup(func() {
+		client.Close()
+		<-done
+	})
+	if err := client.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		tb.Fatalf("SetDeadline: %v", err)
+	}
+	return client
+}
+
+// TestBurstDecidedInOneBatch pins the read-side grouping: 64 one-item
+// frames for 64 streams of one plant, sent in one write, are decided in
+// one engine batch, where frame-at-a-time handling steps 64. One P keeps
+// the run-queue worker, which Batcher.Submit hands a one-shard wave's
+// claim, from stepping before the whole wave is enqueued; the count then
+// shows how many Submit calls the connection made.
+func TestBurstDecidedInOneBatch(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	reg := obs.NewRegistry()
+	srv := NewServer(Config{Workers: 1, Observer: obs.NewObserver(reg, nil)})
+	defer srv.Close()
+	m := models.ByName("vehicle-turning")
+	const burst = 64
+	ests, u := wireTrajectory(m, 4, burst)
+	var req []byte
+	serial := make([]core.Decision, burst)
+	for i := range ests {
+		h, err := srv.Open("group", fmt.Sprintf("s-%02d", i), m.Name, "adaptive", 0)
+		if err != nil {
+			t.Fatalf("Open(%d): %v", i, err)
+		}
+		req = append(req, ingestFrames(t, h, ests[i:i+1], u)[0]...)
+		det, err := sim.Detector(sim.Config{Model: m, Strategy: sim.Adaptive})
+		if err != nil {
+			t.Fatalf("Detector: %v", err)
+		}
+		if serial[i], err = det.Step(ests[i], u); err != nil {
+			t.Fatalf("serial step: %v", err)
+		}
+	}
+	batches := reg.Counter(obs.MetricFleetBatches, "")
+	before := batches.Value()
+	client := pipeTo(t, srv)
+	if _, err := client.Write(req); err != nil {
+		t.Fatalf("write burst: %v", err)
+	}
+	br := bufio.NewReader(client)
+	var rbuf []byte
+	for i := range serial {
+		if got, _ := readDecision(t, client, br, &rbuf); !wireDecisionsEqual(got, serial[i]) {
+			t.Fatalf("stream %d: %+v != serial %+v", i, got, serial[i])
+		}
+	}
+	if got := batches.Value() - before; got != 1 {
+		t.Fatalf("a %d-frame burst took %d engine batches, want 1", burst, got)
+	}
+}
+
+// TestIngestGroupStopsAtCheckpoint pins the group's boundary: a group
+// never reaches past a frame that is not an ingest frame. One write holds
+// [ingest s, checkpoint, ingest s], and the checkpoint must record exactly
+// one step of s — the consistency cut falls where the client put it.
+func TestIngestGroupStopsAtCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	srv := NewServer(Config{Workers: 1, CheckpointDir: dir})
+	defer srv.Close()
+	m := models.ByName("vehicle-turning")
+	h, err := srv.Open("cut", "s", m.Name, "adaptive", 0)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	ests, u := wireTrajectory(m, 6, 2)
+	frames := ingestFrames(t, h, ests, u)
+	enc := state.NewEncoder()
+	enc.String("cut.awds")
+	req := append(append(append([]byte(nil), frames[0]...), frameBytes(t, MsgCheckpoint, enc.Bytes())...), frames[1]...)
+
+	client := pipeTo(t, srv)
+	if _, err := client.Write(req); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	br := bufio.NewReader(client)
+	var rbuf []byte
+	readDecision(t, client, br, &rbuf)
+	if typ, payload, err := readFrameInto(br, &rbuf); err != nil || typ != MsgOK {
+		t.Fatalf("checkpoint response: typ=0x%02x payload=%q err=%v", typ, payload, err)
+	}
+	readDecision(t, client, br, &rbuf)
+
+	fresh := NewServer(Config{Workers: 1, CheckpointDir: dir})
+	defer fresh.Close()
+	if _, err := fresh.Restore("cut.awds"); err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	st, ok := fresh.Engine().Stream("cut/s")
+	if !ok {
+		t.Fatalf("restored fleet has no stream cut/s")
+	}
+	if got := st.Steps(); got != 1 {
+		t.Fatalf("checkpoint between two ingest frames recorded %d steps, want 1", got)
+	}
 }

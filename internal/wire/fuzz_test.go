@@ -99,6 +99,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		// inverse on the valid subset.
 		if typ == MsgIngestBatch {
 			var ib ingestBatch
+			ib.reset(len(payload))
 			if err := ib.decode(payload); err == nil {
 				re := state.NewEncoder()
 				appendIngestBatch(re, ib.handles, ib.ests, ib.us)
@@ -158,4 +159,164 @@ func frameBytes(tb testing.TB, typ byte, payload []byte) []byte {
 		tb.Fatalf("flush: %v", err)
 	}
 	return buf.Bytes()
+}
+
+// burstStreams are the streams both servers of FuzzBurstMatchesSplit open
+// before the program runs, over two plants: handles 1 to 3, in this order.
+var burstStreams = []struct{ stream, model string }{
+	{"a", "vehicle-turning"},
+	{"b", "vehicle-turning"},
+	{"c", "aircraft-pitch"},
+}
+
+// burstFrames decodes fuzz bytes into a list of request frames, one
+// opcode byte per frame: ingest frames of one item or of zero to three
+// (handles 0 to 5, so zero, unknown and repeated handles all occur), an
+// item of the wrong dimension, a truncated payload, a payload with
+// trailing bytes, Open (new streams, re-opens and conflicting specs, so
+// handles keep being bound mid-program), Hello of this and of an older
+// version, an unknown frame type, and Drain, after which every ingest
+// frame is refused.
+func burstFrames(tb testing.TB, data []byte) [][]byte {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	dims := map[uint64]int{1: 1, 2: 1, 3: 3} // state dimension of the preopened handles
+	enc := state.NewEncoder()
+	item := func(wrongDim bool) {
+		h := uint64(next() % 6)
+		dim, ok := dims[h]
+		if !ok || wrongDim {
+			dim = 1 + int(next()%4)
+		}
+		est := make([]float64, dim)
+		for i := range est {
+			est[i] = float64(int8(next())) / 64
+		}
+		appendIngestItem(enc, h, est, []float64{float64(int8(next())) / 32})
+	}
+	ingest := func(items int, wrongDim bool) []byte {
+		enc.Reset()
+		enc.U32(uint32(items))
+		for i := 0; i < items; i++ {
+			item(wrongDim && i == items-1)
+		}
+		return enc.Bytes()
+	}
+	var frames [][]byte
+	for len(data) > 0 && len(frames) < 48 {
+		var f []byte
+		switch op := next() % 10; op {
+		case 0, 1:
+			f = frameBytes(tb, MsgIngestBatch, ingest(1, false))
+		case 2:
+			f = frameBytes(tb, MsgIngestBatch, ingest(int(next()%4), false))
+		case 3:
+			f = frameBytes(tb, MsgIngestBatch, ingest(1+int(next()%2), true))
+		case 4:
+			p := ingest(1+int(next()%2), false)
+			f = frameBytes(tb, MsgIngestBatch, p[:len(p)-1-int(next())%len(p)])
+		case 5:
+			p := append(ingest(1, false), make([]byte, 1+next()%8)...)
+			f = frameBytes(tb, MsgIngestBatch, p)
+		case 6:
+			enc.Reset()
+			enc.String("t")
+			enc.String(string(rune('a' + next()%4)))
+			enc.String(burstStreams[next()%2*2].model)
+			enc.String("adaptive")
+			enc.Int(0)
+			f = frameBytes(tb, MsgOpen, enc.Bytes())
+		case 7:
+			enc.Reset()
+			enc.U16(ProtocolVersion - uint16(next()%2))
+			enc.String("fuzz")
+			f = frameBytes(tb, MsgHello, enc.Bytes())
+		case 8:
+			f = frameBytes(tb, 0x7f, nil)
+		case 9:
+			f = frameBytes(tb, MsgDrain, nil)
+		}
+		frames = append(frames, f)
+	}
+	return frames
+}
+
+// burstServer returns a server with burstStreams open.
+func burstServer(tb testing.TB) *Server {
+	srv := NewServer(Config{Workers: 1})
+	tb.Cleanup(func() { srv.Close() })
+	for i, s := range burstStreams {
+		if h, err := srv.Open("t", s.stream, s.model, "adaptive", 0); err != nil || h != uint64(i+1) {
+			tb.Fatalf("Open(%s) = %d, %v", s.stream, h, err)
+		}
+	}
+	return srv
+}
+
+// readResponses reads n response frames and returns their bytes.
+func readResponses(tb testing.TB, br *bufio.Reader, n int) []byte {
+	var out, buf []byte
+	for i := 0; i < n; i++ {
+		typ, payload, err := readFrameInto(br, &buf)
+		if err != nil {
+			tb.Fatalf("response %d of %d: %v", i, n, err)
+		}
+		out = append(out, frameBytes(tb, typ, payload)...)
+	}
+	return out
+}
+
+// FuzzBurstMatchesSplit is the byte-identity differential of the
+// connection's ingest grouping. Two servers with the same streams open
+// receive the same request frames over serveConn: one frame per write,
+// each answered before the next is sent, so every group has one frame;
+// and all frames in one write, so ingest frames that arrive together are
+// decided together. The two response byte streams must be equal: grouping
+// changes neither a decision, nor an error, nor a response's place.
+func FuzzBurstMatchesSplit(f *testing.F) {
+	// Each seed is one case; ops are annotated as op(args).
+	f.Add([]byte{0, 1, 10, 20, 0, 1, 30, 40, 1, 2, 50, 60, 0, 1, 70, 80})                                  // one-item frames: a, a, b, a
+	f.Add([]byte{2, 3, 1, 10, 20, 3, 1, 2, 3, 30, 1, 40, 50, 2, 0, 2, 2, 1, 60, 70, 1, 80, 90})            // [a c a], an empty frame, [a a]
+	f.Add([]byte{0, 0, 0, 10, 20, 0, 4, 2, 1, 2, 3, 30, 0, 5, 0, 7, 8, 0, 1, 10, 20})                      // handle 0, unknown 4 and 5, then a
+	f.Add([]byte{3, 0, 1, 1, 5, 6, 7, 3, 1, 1, 10, 20, 3, 0, 5, 9, 0, 2, 30, 40})                          // a with 2 dims; [a, c with 1 dim]; b
+	f.Add([]byte{0, 1, 10, 20, 4, 0, 1, 30, 40, 0, 4, 0, 1, 90, 99, 200, 0, 2, 50, 60})                    // a, a cut by 1 byte, a cut to its count, b
+	f.Add([]byte{0, 1, 10, 20, 5, 1, 30, 40, 3, 0, 2, 50, 60})                                             // a, a with 4 trailing bytes, b
+	f.Add([]byte{0, 1, 10, 20, 6, 3, 0, 0, 4, 0, 30, 40, 6, 0, 0, 0, 5, 0, 50, 60, 6, 1, 1, 0, 2, 70, 80}) // open d (handle 4), ingest 4; re-open a (handle 5), ingest 5; b as another plant (refused); b
+	f.Add([]byte{0, 1, 10, 20, 7, 0, 0, 1, 30, 40, 7, 1, 8, 0, 2, 50, 60})                                 // a, Hello, a, protocol-2 Hello, unknown type, b
+	f.Add([]byte{0, 1, 10, 20, 2, 2, 1, 30, 40, 2, 50, 60, 9, 0, 1, 70, 80, 4, 0, 1, 90, 99, 0, 2, 0})     // a, [a b], Drain, a, a cut, an empty frame
+	f.Fuzz(func(t *testing.T, data []byte) {
+		frames := burstFrames(t, data)
+		if len(frames) == 0 {
+			return
+		}
+		split := pipeTo(t, burstServer(t))
+		sbr := bufio.NewReader(split)
+		var want []byte
+		for _, fr := range frames {
+			if _, err := split.Write(fr); err != nil {
+				t.Fatalf("split write: %v", err)
+			}
+			want = append(want, readResponses(t, sbr, 1)...)
+		}
+
+		burst := pipeTo(t, burstServer(t))
+		wrote := make(chan error, 1)
+		go func() {
+			_, err := burst.Write(bytes.Join(frames, nil))
+			wrote <- err
+		}()
+		got := readResponses(t, bufio.NewReader(burst), len(frames))
+		if err := <-wrote; err != nil {
+			t.Fatalf("burst write: %v", err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("responses to %d frames sent in one write differ from one frame per write:\n burst %x\n split %x", len(frames), got, want)
+		}
+	})
 }

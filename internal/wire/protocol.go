@@ -35,13 +35,17 @@
 //
 // Responses are delivered strictly in request order, and a client may have
 // many requests in flight on one connection. One goroutine serves each
-// connection: it handles frames one at a time in arrival order, buffers
-// their responses, and flushes before any read that could block, that is
-// whenever the next request frame is not yet whole in its read buffer. So
-// a pipelined client pays the network round trip once per window rather
-// than once per sample, and the responses to frames that arrived together
-// leave in one write. Batching carries many samples in one frame for the
-// same amortization at the framing layer.
+// connection: it handles frames in arrival order, buffers their responses,
+// and flushes before any read that could block, that is whenever the next
+// request frame is not yet whole in its read buffer. Ingest frames that
+// arrived together are decided together: an ingest frame and every
+// further ingest frame already whole in the read buffer go to the engine
+// as one batch, and each still gets its own response, byte for byte the
+// one it would get alone. So a pipelined client pays the network round
+// trip once per window rather than once per sample, the engine steps the
+// window's samples as shard batches, and the responses to frames that
+// arrived together leave in one write. Batching carries many samples in
+// one frame for the same amortization at the framing layer.
 package wire
 
 import (
@@ -132,18 +136,18 @@ func readFrameInto(r io.Reader, buf *[]byte) (typ byte, payload []byte, err erro
 }
 
 // frameBuffered reports whether br already holds the next whole frame, so
-// that reading it cannot block. A frame larger than br's buffer never
-// counts as buffered.
-func frameBuffered(br *bufio.Reader) bool {
+// that reading it cannot block, and that frame's type. A frame larger than
+// br's buffer never counts as buffered.
+func frameBuffered(br *bufio.Reader) (typ byte, whole bool) {
 	n := br.Buffered()
 	if n < 5 {
-		return false
+		return 0, false
 	}
 	hdr, err := br.Peek(5) // already buffered: Peek does not read
 	if err != nil {
-		return false
+		return 0, false
 	}
-	return uint32(n-5) >= binary.LittleEndian.Uint32(hdr[:4])
+	return hdr[4], uint32(n-5) >= binary.LittleEndian.Uint32(hdr[:4])
 }
 
 // appendDecision encodes a core.Decision, the body of a batchOK item.
@@ -183,13 +187,15 @@ func appendIngestItem(enc *state.Encoder, handle uint64, estimate, input []float
 	enc.F64s(input)
 }
 
-// ingestBatch is the decoded form of a MsgIngestBatch payload. Its slices
-// and the flat float slab backing every vector are reused across decodes,
-// so a warm connection parses batches without allocating.
+// ingestBatch is the decoded form of a group of MsgIngestBatch payloads:
+// every frame's samples, appended in arrival order. Its slices and the
+// flat float slab backing every vector are reused across groups, so a
+// warm connection parses batches without allocating.
 type ingestBatch struct {
 	handles  []uint64
 	ests, us [][]float64 // alias slab, one pair per sample
 	slab     []float64
+	off      int // slab floats handed out
 	dec      state.Decoder
 }
 
@@ -197,14 +203,32 @@ type ingestBatch struct {
 // plus two empty length-prefixed vectors.
 const minBatchSampleBytes = 8 + 4 + 4
 
-// decode parses payload into the batch, replacing its previous contents.
-// The payload must be consumed exactly — trailing bytes are a protocol
-// error, which is what makes the encoding its own inverse (the fuzz target
-// checks re-encoding reproduces the payload byte for byte). Every float
-// takes 8 payload bytes, so the payload length bounds the slab before
-// any vector is read: one pass hands out slab-aliasing vectors, and the
-// slab never reallocates under them.
-func (ib *ingestBatch) decode(payload []byte) error {
+// reset empties the batch for a group whose payloads total at most
+// maxBytes. Every float takes 8 payload bytes, so that bounds the slab
+// before any vector is read: decode hands out slab-aliasing vectors in
+// one pass, and the slab never reallocates under them.
+func (ib *ingestBatch) reset(maxBytes int) {
+	if most := maxBytes / 8; cap(ib.slab) < most {
+		ib.slab = make([]float64, most)
+	}
+	ib.off = 0
+	ib.handles = ib.handles[:0]
+	ib.ests = ib.ests[:0]
+	ib.us = ib.us[:0]
+}
+
+// decode parses one payload and appends its samples to the batch. The
+// payload must be consumed exactly — trailing bytes are a protocol error,
+// which is what makes the encoding its own inverse (the fuzz target checks
+// re-encoding reproduces the payload byte for byte). A payload that fails
+// leaves the batch as it was, so its neighbours in the group are kept.
+func (ib *ingestBatch) decode(payload []byte) (err error) {
+	n0, off0 := len(ib.handles), ib.off
+	defer func() {
+		if err != nil {
+			ib.handles, ib.ests, ib.us, ib.off = ib.handles[:n0], ib.ests[:n0], ib.us[:n0], off0
+		}
+	}()
 	d := &ib.dec
 	d.Reset(payload)
 	n := d.U32()
@@ -214,13 +238,7 @@ func (ib *ingestBatch) decode(payload []byte) error {
 	if int(n) > d.Remaining()/minBatchSampleBytes {
 		return fmt.Errorf("wire: batch claims %d samples in %d bytes", n, d.Remaining())
 	}
-	if most := d.Remaining() / 8; cap(ib.slab) < most {
-		ib.slab = make([]float64, most)
-	}
-	slab, off := ib.slab[:cap(ib.slab)], 0
-	ib.handles = ib.handles[:0]
-	ib.ests = ib.ests[:0]
-	ib.us = ib.us[:0]
+	slab := ib.slab[:cap(ib.slab)]
 	for i := 0; i < int(n); i++ {
 		ib.handles = append(ib.handles, d.U64())
 		for j := 0; j < 2; j++ {
@@ -233,12 +251,12 @@ func (ib *ingestBatch) decode(payload []byte) error {
 			}
 			// The claim is within the payload, so the floats are read in
 			// place rather than through the decoder's per-field checks.
-			v, at := slab[off:off+int(k):off+int(k)], d.Offset()
+			v, at := slab[ib.off:ib.off+int(k):ib.off+int(k)], d.Offset()
 			for x := range v {
 				v[x] = math.Float64frombits(binary.LittleEndian.Uint64(payload[at+8*x:]))
 			}
 			d.SkipTo(at + 8*int(k))
-			off += int(k)
+			ib.off += int(k)
 			if j == 0 {
 				ib.ests = append(ib.ests, v)
 			} else {

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"fmt"
 	"net"
@@ -94,12 +95,11 @@ type Server struct {
 	// each other.
 	ingestMu sync.RWMutex
 
-	mu         sync.Mutex // guards the registries below
-	specs      map[string]streamSpec
-	handles    map[uint64]*fleet.Stream // open handle -> engine stream
-	nextHandle uint64
-	tenants    map[string]int // tenant -> open stream count
-	draining   bool
+	mu       sync.Mutex // guards the registries below
+	specs    map[string]streamSpec
+	handles  []*fleet.Stream // handle h -> engine stream, at h-1
+	tenants  map[string]int  // tenant -> open stream count
+	draining bool
 	// conns holds the open binary-protocol connections, so Close can end
 	// them; nil once Close has begun, which refuses later accepts and
 	// makes a second Close a no-op.
@@ -126,7 +126,6 @@ func NewServer(cfg Config) *Server {
 			Observer: cfg.Observer,
 		}),
 		specs:   make(map[string]streamSpec),
-		handles: make(map[uint64]*fleet.Stream),
 		tenants: make(map[string]int),
 		conns:   make(map[net.Conn]struct{}),
 	}
@@ -191,11 +190,20 @@ func (s *Server) Open(tenant, stream, model, strategy string, fixedWin int) (uin
 	return s.bindHandle(st), nil
 }
 
-// bindHandle allocates a fresh handle for an open stream. Caller holds mu.
+// bindHandle allocates a fresh handle for an open stream. Handles count
+// up from 1 and are never unbound. Caller holds mu.
 func (s *Server) bindHandle(st *fleet.Stream) uint64 {
-	s.nextHandle++
-	s.handles[s.nextHandle] = st
-	return s.nextHandle
+	s.handles = append(s.handles, st)
+	return uint64(len(s.handles))
+}
+
+// stream resolves a handle, or returns nil for 0 and any handle never
+// bound. Caller holds mu.
+func (s *Server) stream(h uint64) *fleet.Stream {
+	if h == 0 || h > uint64(len(s.handles)) {
+		return nil
+	}
+	return s.handles[h-1]
 }
 
 // Ingest feeds one sample to the stream behind handle and returns its
@@ -206,7 +214,7 @@ func (s *Server) Ingest(handle uint64, estimate, appliedU []float64) (core.Decis
 	defer s.ingestMu.RUnlock()
 	s.mu.Lock()
 	draining := s.draining
-	st := s.handles[handle]
+	st := s.stream(handle)
 	s.mu.Unlock()
 	if draining {
 		return core.Decision{}, errDraining
@@ -243,7 +251,7 @@ func (s *Server) IngestBatch(bt *fleet.Batcher, handles []uint64, items []fleet.
 	s.mu.Lock()
 	draining := s.draining
 	for i, h := range handles {
-		items[i].Stream = s.handles[h]
+		items[i].Stream = s.stream(h)
 	}
 	s.mu.Unlock()
 	if draining {
@@ -475,16 +483,24 @@ func (s *Server) untrack(conn net.Conn) {
 
 // connState is one connection's reusable scratch: the frame read buffer,
 // request decoder, response encoder, and the batch machinery. Everything
-// is sized by the largest request seen so far, so a warm connection's
-// ingest path runs without allocating.
+// is sized by the largest request or group seen so far, so a warm
+// connection's ingest path runs without allocating.
 type connState struct {
 	frame   []byte
 	dec     state.Decoder
 	enc     *state.Encoder
 	batch   ingestBatch
+	group   []groupFrame
 	items   []fleet.BatchItem
 	results []fleet.BatchResult
 	batcher *fleet.Batcher
+}
+
+// groupFrame is one ingest frame's share of its group: the number of batch
+// items it carried, or why it failed to decode.
+type groupFrame struct {
+	n   int
+	err error
 }
 
 func newConnState(eng *fleet.Engine) *connState {
@@ -494,14 +510,15 @@ func newConnState(eng *fleet.Engine) *connState {
 // serveConn runs one connection on one goroutine: read a request frame,
 // handle it, write its response into the connection's buffered writer.
 // Frames are handled strictly in arrival order, which is what delivers
-// responses in request order. The writer is flushed before every read that
-// could block, that is whenever the next request frame is not already
-// whole in the read buffer: responses to frames that arrived together
-// leave in one write, and no response waits on bytes the client has not
-// sent. A client that stops reading blocks the write, so the connection
-// stops reading frames (backpressure through the socket). Protocol errors
-// are answered with MsgError and the loop continues; transport errors end
-// the connection.
+// responses in request order; ingest frames that arrived together are
+// decided together (serveIngest). The writer is flushed before every read
+// that could block, that is whenever the next request frame is not
+// already whole in the read buffer: responses to frames that arrived
+// together leave in one write, and no response waits on bytes the client
+// has not sent. A client that stops reading blocks the write, so the
+// connection stops reading frames (backpressure through the socket).
+// Protocol errors are answered with MsgError and the loop continues;
+// transport errors end the connection.
 func (s *Server) serveConn(conn net.Conn) {
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)
@@ -511,11 +528,16 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		rtyp, rp := s.handleReq(cs, typ, payload)
-		if err := writeFrame(bw, rtyp, rp); err != nil {
+		if typ == MsgIngestBatch {
+			err = s.serveIngest(cs, br, bw, payload)
+		} else {
+			rtyp, rp := s.handleReq(cs, typ, payload)
+			err = writeFrame(bw, rtyp, rp)
+		}
+		if err != nil {
 			return
 		}
-		if !frameBuffered(br) {
+		if _, whole := frameBuffered(br); !whole {
 			if err := bw.Flush(); err != nil {
 				return
 			}
@@ -523,9 +545,63 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// handleReq dispatches one request frame and builds its response frame in
-// the connection's scratch encoder. The returned payload aliases that
-// encoder and is valid until the next call.
+// serveIngest answers the MsgIngestBatch frame whose payload was just read
+// together with every further MsgIngestBatch frame already whole in br. It
+// decodes all their samples into one batch, decides them in one
+// IngestBatch call, and writes one response per frame to bw, in arrival
+// order. The group never reads the socket, so it spans at most one read
+// buffer, and it ends at the first frame that is not whole or not an
+// ingest frame. Each response is byte for byte the one the frame would
+// get alone: Batcher waves keep each stream's samples in arrival order, a
+// frame that fails to decode gets its own MsgError, and a refusal of the
+// whole batch (draining) answers every frame of the group.
+func (s *Server) serveIngest(cs *connState, br *bufio.Reader, bw *bufio.Writer, payload []byte) error {
+	b := &cs.batch
+	// Every frame of the group lies within these bytes.
+	b.reset(len(payload) + br.Buffered())
+	cs.group = cs.group[:0]
+	for {
+		n := len(b.handles)
+		err := b.decode(payload)
+		cs.group = append(cs.group, groupFrame{n: len(b.handles) - n, err: err})
+		if typ, whole := frameBuffered(br); !whole || typ != MsgIngestBatch {
+			break
+		}
+		if _, payload, err = readFrameInto(br, &cs.frame); err != nil {
+			return err
+		}
+	}
+	cs.items = cs.items[:0]
+	cs.results = cs.results[:0]
+	for i := range b.handles {
+		cs.items = append(cs.items, fleet.BatchItem{Estimate: mat.Vec(b.ests[i]), AppliedU: mat.Vec(b.us[i])})
+		cs.results = append(cs.results, fleet.BatchResult{})
+	}
+	batchErr := s.IngestBatch(cs.batcher, b.handles, cs.items, cs.results)
+	enc, res := cs.enc, cs.results
+	for _, f := range cs.group {
+		enc.Reset()
+		typ := byte(MsgDecisionBatch)
+		if err := cmp.Or(f.err, batchErr); err != nil {
+			typ = MsgError
+			enc.String(err.Error())
+		} else {
+			enc.U32(uint32(f.n))
+			for _, r := range res[:f.n] {
+				appendBatchDecision(enc, r.Decision, r.Err)
+			}
+		}
+		res = res[f.n:]
+		if err := writeFrame(bw, typ, enc.Bytes()); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// handleReq dispatches one request frame other than an ingest frame and
+// builds its response frame in the connection's scratch encoder. The
+// returned payload aliases that encoder and is valid until the next call.
 func (s *Server) handleReq(cs *connState, typ byte, payload []byte) (byte, []byte) {
 	dec := &cs.dec
 	dec.Reset(payload)
@@ -564,26 +640,6 @@ func (s *Server) handleReq(cs *connState, typ byte, payload []byte) (byte, []byt
 		}
 		enc.U64(h)
 		return MsgOpened, enc.Bytes()
-	case MsgIngestBatch:
-		if err := cs.batch.decode(payload); err != nil {
-			return fail(err)
-		}
-		b := &cs.batch
-		n := len(b.handles)
-		cs.items = cs.items[:0]
-		cs.results = cs.results[:0]
-		for i := 0; i < n; i++ {
-			cs.items = append(cs.items, fleet.BatchItem{Estimate: mat.Vec(b.ests[i]), AppliedU: mat.Vec(b.us[i])})
-			cs.results = append(cs.results, fleet.BatchResult{})
-		}
-		if err := s.IngestBatch(cs.batcher, b.handles, cs.items, cs.results); err != nil {
-			return fail(err)
-		}
-		enc.U32(uint32(n))
-		for i := range cs.results {
-			appendBatchDecision(enc, cs.results[i].Decision, cs.results[i].Err)
-		}
-		return MsgDecisionBatch, enc.Bytes()
 	case MsgCheckpoint:
 		name := dec.String()
 		if err := dec.Err(); err != nil {

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/mat"
 	"repro/internal/models"
 	"repro/internal/noise"
@@ -338,8 +339,9 @@ func TestHTTPFallback(t *testing.T) {
 }
 
 // TestProtocolRejections pins the refusal paths of the frame layer and
-// the request validation: unknown messages, unknown handles, bad
-// strategies, restore without a checkpoint directory, and the defined
+// the request validation: unknown messages, unknown handles (handle 0,
+// one past the last bound handle, and far past it), bad strategies,
+// restore without a checkpoint directory, and the defined
 // behaviour for older clients — a Hello announcing protocol 2 is refused
 // with an error naming both versions, and a retired single-sample ingest
 // frame (type 0x03) is answered with MsgError on a live connection.
@@ -386,8 +388,20 @@ func TestProtocolRejections(t *testing.T) {
 	if rtyp, _, err := c.roundTrip(0x03); err == nil || rtyp != MsgError {
 		t.Fatalf("retired ingest frame: rtyp=0x%02x err=%v", rtyp, err)
 	}
-	if _, err := c.Open("acme", "after-retired", "aircraft-pitch", "adaptive", 0); err != nil {
+	last, err := c.Open("acme", "after-retired", "aircraft-pitch", "adaptive", 0)
+	if err != nil {
 		t.Fatalf("open after retired frame: %v", err)
+	}
+
+	// Handles count up from 1: 0 and the handle one past the last bound
+	// one resolve to no stream, and fail only their own item.
+	for _, h := range []uint64{0, last + 1} {
+		if _, err := c.Ingest(h, []float64{0, 0, 0}, []float64{0}); err == nil || err.Error() != fleet.ErrUnknownStream.Error() {
+			t.Fatalf("ingest on handle %d (last bound %d): err=%v, want %v", h, last, err, fleet.ErrUnknownStream)
+		}
+	}
+	if _, err := c.Ingest(last, []float64{0, 0, 0}, []float64{0}); err != nil {
+		t.Fatalf("ingest on the last bound handle %d: %v", last, err)
 	}
 
 	// A protocol-2 client is turned away at the handshake, told both
